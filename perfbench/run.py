@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 import signal
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -28,16 +27,6 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKDIR = ROOT / ".perfbench_work"
 CHILD_TIMEOUT_S = 170
-SETUP_REPS = (5, 4)     # fresh processes before and after the workload
-SETUP_CODE = """\
-import time
-start = time.perf_counter()
-import blochsynth
-from blochsynth.cli import parse_bundled
-parse_bundled("ibm_torino")
-parse_bundled("star5")
-print(time.perf_counter() - start)
-"""
 
 # The layer each workload was predicted to spend most of its time in.
 PREDICTED = {
@@ -46,16 +35,6 @@ PREDICTED = {
     "compare": "transpile",
     "cli": "start-up + import",
 }
-
-
-def setup_seconds(reps: int) -> list[float]:
-    """Import blochsynth and load the bundled layouts, each time in a fresh process."""
-    times = []
-    for _ in range(reps):
-        proc = subprocess.run([sys.executable, "-c", SETUP_CODE], env=child_env(),
-                              capture_output=True, text=True, check=True, timeout=60)
-        times.append(float(proc.stdout))
-    return times
 
 
 def run_workload(argv: list[str]) -> str | None:
@@ -109,25 +88,19 @@ def main(argv=None) -> int:
     workdir = WORKDIR / args.workload
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
-    values: dict = {}
-    setup = [] if args.trace else setup_seconds(SETUP_REPS[0])
     stdout = run_workload(
         [sys.executable, str(HERE / "workloads.py"), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", str(args.trace), "--workdir", str(workdir)])
     if stdout is None:
         return 1
-    values.update(json.loads(stdout.splitlines()[-1]))
-    if not args.trace:
-        values["setup_s"] = statistics.median(setup + setup_seconds(SETUP_REPS[1]))
+    values = json.loads(stdout.splitlines()[-1])
 
-    missing = [m["name"] for m in metrics if m["name"] not in values and not args.trace]
+    missing = [m["name"] for m in metrics if m["name"] not in values]
     if missing:
         print(f"error: no value for {', '.join(missing)}", file=sys.stderr)
         return 1
-    # A layer the workload never reaches reports zero calls and zero time.
-    report = {m["name"]: {"value": values.get(m["name"], 0), "unit": m["unit"]}
-              for m in metrics}
+    report = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in metrics}
 
     attempted, failed = values["attempted"], values["failed"]
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds:g} "

@@ -8,7 +8,7 @@ wrapped at every module attribute a caller looks it up from (for example
 records a span ``(name, start_ns, end_ns, parent, op)`` in memory; self
 time is a span's duration minus the part its child spans cover.  A few
 wrappers also count what went in or came out (gates emitted, SWAPs
-inserted, unsatisfiable solves, narrow-alphabet hits).
+inserted, unsatisfiable solves, narrow solves that succeeded).
 """
 from __future__ import annotations
 
@@ -47,8 +47,25 @@ WRAPPED = (
     ("textio.parse_circuit", ("cli",), "parse_circuit", None, None),
 )
 
+# The keys each result counter returns.
+_COUNTER_KEYS = {_gates_out: ("gates_out",), _route_counts: ("swaps", "width")}
+
 # Counted per result across a pass: "width" is a maximum, the rest are sums.
 _MAX_COUNTS = frozenset({"layout.route.width"})
+
+SHORTEST_PATH = "layout.Layout.shortest_path.calls"
+NARROW_ATTEMPTS, NARROW_HITS = "synthesis.narrow_attempts", "synthesis.narrow_hits"
+
+
+def zero_layers() -> dict[str, float]:
+    """Every value a traced pass can report, at zero: a layer no op reaches reads 0."""
+    layers = dict.fromkeys((SHORTEST_PATH, NARROW_ATTEMPTS, NARROW_HITS), 0)
+    for name, _, _, counter, exc_key in WRAPPED:
+        layers[f"{name}.calls"] = 0
+        layers[f"{name}.busy_ms"] = 0.0
+        for key in _COUNTER_KEYS.get(counter, ()) + ((exc_key,) if exc_key else ()):
+            layers[f"{name}.{key}"] = 0
+    return layers
 
 
 class Tracer:
@@ -61,7 +78,6 @@ class Tracer:
         self.op = 0
         self._stack: list[int] = []
         self._saved: list[tuple[object, str, object]] = []
-        self._narrow_alphabet: dict[int, frozenset] = {}
 
     # -- installation -----------------------------------------------------
     def __enter__(self) -> "Tracer":
@@ -76,8 +92,7 @@ class Tracer:
                 setattr(module, attr, wrapper)
         layout_cls = self.package.layout.Layout
         self._saved.append((layout_cls, "shortest_path", layout_cls.shortest_path))
-        layout_cls.shortest_path = self._count_only(
-            "layout.Layout.shortest_path.calls", layout_cls.shortest_path)
+        layout_cls.shortest_path = self._count_only(SHORTEST_PATH, layout_cls.shortest_path)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -91,6 +106,10 @@ class Tracer:
         narrow = name == "synthesis.solve_phase_system"
 
         def wrapper(*args, **kwargs):
+            # A solve without widen enumerates the narrowed candidate set first.
+            attempt = narrow and not kwargs.get("widen", len(args) > 2 and args[2])
+            if attempt:
+                counts[NARROW_ATTEMPTS] += 1
             index = len(spans)
             parent = stack[-1] if stack else -1
             spans.append(None)
@@ -113,10 +132,8 @@ class Tracer:
                         counts[full] = max(counts[full], value)
                     else:
                         counts[full] += value
-            if narrow:
-                counts["synthesis.narrow_attempts"] += 1
-                if set(result[0]) <= self._alphabet(args[0].n_cnots):
-                    counts["synthesis.narrow_hits"] += 1
+            if attempt:
+                counts[NARROW_HITS] += 1
             return result
         return wrapper
 
@@ -127,13 +144,6 @@ class Tracer:
             counts[key] += 1
             return fn(*args, **kwargs)
         return wrapper
-
-    def _alphabet(self, n_cnots: int) -> frozenset:
-        """The narrowed candidate angles; a solve inside them is a narrow hit."""
-        if n_cnots not in self._narrow_alphabet:
-            narrowing = self.package.synthesis.narrow_gate_set(n_cnots)
-            self._narrow_alphabet[n_cnots] = frozenset(narrowing.candidates)
-        return self._narrow_alphabet[n_cnots]
 
     # -- per-pass aggregation ---------------------------------------------
     def begin_pass(self) -> int:

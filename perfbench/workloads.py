@@ -8,10 +8,10 @@ run.py starts this with the thread pools pinned to one thread and the
 absolute ``src`` path on PYTHONPATH.  The last line of standard output is one
 JSON object with the measured values; problems go to standard error.
 
-Every op is checked outside its timed interval: the equator tracker must give
-the truth table computed from this file's own Boolean definitions, and a
-digest of the emitted circuit text and (N1, N2, XC, D) must match the digest
-recorded in golden.json.
+Every op is checked after its pass, outside the timed passes: the equator
+tracker must give the truth table computed from this file's own Boolean
+definitions, and a digest of the emitted circuit text and (N1, N2, XC, D)
+must match the digest recorded in golden.json.
 """
 from __future__ import annotations
 
@@ -26,10 +26,11 @@ import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
-from tracing import Tracer
+from tracing import NARROW_ATTEMPTS, NARROW_HITS, Tracer, zero_layers
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
@@ -39,7 +40,17 @@ MIN_SAMPLES = 100       # p90 then has at least ten samples beyond it
 HARD_CAP_S = 120.0      # stop timing here whatever the sample count
 TRACE_MIN_PASSES = 2
 PROBE_REPS = 7
+SETUP_REPS = 20         # set-up processes per untraced run, spread over the run
 CLI_TIMEOUT_S = 60
+
+# What a user's process does before its first op: import the package and load
+# the bundled layouts.
+SETUP_CODE = """\
+import blochsynth
+from blochsynth.cli import parse_bundled
+parse_bundled("ibm_torino")
+parse_bundled("star5")
+"""
 
 # The benchmark's own Boolean operators; bits[0] is control 1.
 BOOLEAN = {
@@ -113,6 +124,22 @@ def child_env() -> dict[str, str]:
     extra = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + extra if extra else "")
     return env
+
+
+def run_process(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run, killing the process after CLI_TIMEOUT_S.
+
+    subprocess.run's own timeout waits by polling with sleeps of up to 50 ms,
+    which would round every measured process time up to that step.
+    """
+    with subprocess.Popen(argv, env=child_env(), **kwargs) as proc:
+        timer = threading.Timer(CLI_TIMEOUT_S, proc.kill)
+        timer.start()
+        try:
+            stdout, stderr = proc.communicate()
+        finally:
+            timer.cancel()
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
 class Library:
@@ -251,7 +278,6 @@ class Cli:
     def __init__(self, lib: Library, workdir: Path):
         self.lib = lib
         self.workdir = workdir
-        self.env = child_env()
         self.in_process = False
 
     def fixed_pass(self):
@@ -276,9 +302,8 @@ class Cli:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = self.lib.cli.main(list(argv))
             return code, out.getvalue(), err.getvalue()
-        proc = subprocess.run([sys.executable, "-m", "blochsynth.cli", *argv],
-                              cwd=self.workdir, env=self.env, capture_output=True,
-                              text=True, timeout=CLI_TIMEOUT_S)
+        proc = run_process([sys.executable, "-m", "blochsynth.cli", *argv], cwd=self.workdir,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         return proc.returncode, proc.stdout, proc.stderr
 
     def check(self, item, output):
@@ -322,7 +347,7 @@ def _printed_quality(command: str, stdout: str) -> tuple[int, int, int]:
 
 
 class Runner:
-    """Runs ops, times each one, checks it outside the timed interval."""
+    """Runs the ops of a pass back to back, then checks their outputs."""
 
     def __init__(self, workload, golden: dict[str, str]):
         self.workload = workload
@@ -331,119 +356,117 @@ class Runner:
         self.failed = 0
         self.problems: list[str] = []
 
-    def op(self, item):
-        """(elapsed ns, key, digest, quality), or None when the op failed."""
-        self.attempted += 1
+    def run_pass(self, items, tracer=None) -> tuple[int, list]:
+        """Wall ns of the pass, and (item, elapsed ns, output) for each op that returned.
+
+        With a tracer, each op gets its own id.
+        """
+        done = []
         start = time.perf_counter_ns()
-        try:
-            output = self.workload.run(item)
-        except Exception as exc:
-            return self._fail(item, [f"raised {exc!r}"])
-        elapsed = time.perf_counter_ns() - start
-        try:
-            key, digest, quality, problems = self.workload.check(item, output)
-        except Exception as exc:
-            return self._fail(item, [f"check raised {exc!r}"])
-        if self.golden.get(key) != digest:
-            problems = problems + [f"digest {digest} != recorded {self.golden.get(key)}"]
-        if problems:
-            return self._fail(item, problems)
-        return elapsed, key, digest, quality
+        for k, item in enumerate(items):
+            if tracer is not None:
+                tracer.op = k
+            self.attempted += 1
+            op_start = time.perf_counter_ns()
+            try:
+                output = self.workload.run(item)
+            except Exception as exc:
+                self._fail(item, [f"raised {exc!r}"])
+                continue
+            done.append((item, time.perf_counter_ns() - op_start, output))
+        return time.perf_counter_ns() - start, done
+
+    def check_pass(self, done) -> list[tuple[int, str, str, tuple]]:
+        """(elapsed ns, key, digest, quality) for each op whose output passed its checks."""
+        passed = []
+        for item, elapsed, output in done:
+            try:
+                key, digest, quality, problems = self.workload.check(item, output)
+            except Exception as exc:
+                self._fail(item, [f"check raised {exc!r}"])
+                continue
+            if self.golden.get(key) != digest:
+                problems = problems + [f"digest {digest} != recorded {self.golden.get(key)}"]
+            if problems:
+                self._fail(item, problems)
+            else:
+                passed.append((elapsed, key, digest, quality))
+        return passed
 
     def _fail(self, item, problems):
         self.failed += 1
         if len(self.problems) < 20:
             self.problems.append(f"{item}: {'; '.join(problems)}")
-        return None
-
-    def quality_pass(self, items, samples: list | None = None) -> dict:
-        """Run one pass; quality totals and digests over its distinct inputs."""
-        totals = [0, 0, 0]
-        digests = {}
-        for item in items:
-            done = self.op(item)
-            if done is None:
-                continue
-            if samples is not None:
-                samples.append((done[1], done[0]))
-            if done[1] not in digests:
-                digests[done[1]] = done[2]
-                for k, value in enumerate(done[3]):
-                    totals[k] += value
-        return {"n2_total": totals[0], "xc_total": totals[1], "wtqc_total": totals[2],
-                "outputs_digest": digest_text("\n".join(f"{k}={v}" for k, v in sorted(digests.items())))}
-
-    def pass_ns(self, items, tracer=None) -> int:
-        """Summed op time of one pass; with a tracer, each op gets its own id."""
-        total = 0
-        for k, item in enumerate(items):
-            if tracer is not None:
-                tracer.op = k
-            done = self.op(item)
-            if done is not None:
-                total += done[0]
-        return total
 
 
-def steady_ms(samples: list[tuple[str, int]]) -> list[float]:
-    """Each op's time in ms, taken as the lower quartile of its input's times in the run.
+def quality(passed) -> dict:
+    """Quality totals and the outputs digest over the distinct inputs of one pass."""
+    totals = [0, 0, 0]
+    digests = {}
+    for _, key, digest, values in passed:
+        if key not in digests:
+            digests[key] = digest
+            for k, value in enumerate(values):
+                totals[k] += value
+    return {"n2_total": totals[0], "xc_total": totals[1], "wtqc_total": totals[2],
+            "outputs_digest": digest_text("\n".join(f"{k}={v}" for k, v in sorted(digests.items())))}
 
-    The machine's speed drifts by up to a quarter within seconds, with the
-    program unchanged.  An input that repeats in a run keeps the time of its
-    faster quarter, which follows the program and not the drift.  An input
-    seen once keeps its one time.
-    """
-    by_key: dict[str, list[float]] = {}
-    for key, ns in samples:
-        by_key.setdefault(key, []).append(ns / 1e6)
-    steady = {key: statistics.quantiles(v, n=4, method="inclusive")[0] if len(v) > 1 else v[0]
-              for key, v in by_key.items()}
-    return [steady[key] for key, _ in samples]
+
+def fresh_process_s(code: str, reps: int = 1) -> list[float]:
+    """Wall seconds of each of `reps` fresh `python -c code` processes, run one after another."""
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        run_process([sys.executable, "-c", code], stdout=subprocess.DEVNULL).check_returncode()
+        times.append(time.perf_counter() - start)
+    return times
 
 
 def timed_run(runner: Runner, passes, seconds: float, first_pass_quality: bool) -> dict:
-    """Whole passes until `seconds` have gone and p90 has ten samples beyond it."""
-    samples: list[tuple[str, int]] = []
-    quality = None
+    """Whole passes until `seconds` of passes have run and p90 has ten samples beyond it.
+
+    The set-up probes run between passes, spread over the run, outside the
+    passes' wall time.
+    """
+    ms, setup = [], []
+    result = {}
+    pass_ns = 0
     attempted = runner.attempted
-    start = time.perf_counter()
     for items in passes:
-        if first_pass_quality and quality is None:
-            quality = runner.quality_pass(items, samples)
-        else:
-            for item in items:
-                done = runner.op(item)
-                if done is not None:
-                    samples.append((done[1], done[0]))
-        elapsed = time.perf_counter() - start
+        elapsed, done = runner.run_pass(items)
+        pass_ns += elapsed
+        passed = runner.check_pass(done)
+        if first_pass_quality and not result:
+            result.update(quality(passed))
+        ms += [ns / 1e6 for ns, *_ in passed]
+        share = min(1.0, pass_ns / 1e9 / seconds)
+        while len(setup) < SETUP_REPS * share:
+            setup += fresh_process_s(SETUP_CODE)
         enough = runner.attempted - attempted >= MIN_SAMPLES
-        if elapsed >= HARD_CAP_S or (elapsed >= seconds and enough):
+        if pass_ns / 1e9 >= HARD_CAP_S or (pass_ns / 1e9 >= seconds and enough):
             break
-    ms = steady_ms(samples) or [0.0]
+    setup += fresh_process_s(SETUP_CODE, SETUP_REPS - len(setup))
+    samples = len(ms)
+    ms = ms or [0.0]
     p90 = statistics.quantiles(ms, n=10)[8] if len(ms) >= 2 else ms[0]
-    result = {
-        "ops_per_s": len(samples) / (sum(ms) / 1e3) if samples else 0.0,
+    result.update({
+        "ops_per_s": samples / (pass_ns / 1e9),
         "op_ms_p50": statistics.median(ms),
         "op_ms_p90": p90,
-        "samples": len(samples),
+        "samples": samples,
         "beyond_p90": sum(1 for v in ms if v > p90),
-    }
-    if quality is not None:
-        result.update(quality)
+        "setup_s": statistics.median(setup),
+    })
     return result
 
 
 def startup_probes(reps: int) -> dict[str, float]:
     """Interpreter start, numpy import and package import, from fresh processes."""
-    env = child_env()
     walls: dict[str, list[float]] = {name: [] for name, _ in STARTUP_PROBES}
     for _ in range(reps):
         for name, code in STARTUP_PROBES:
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                           timeout=CLI_TIMEOUT_S)
-            walls[name].append((time.perf_counter() - start) * 1e3)
-    medians = [statistics.median(walls[name]) for name, _ in STARTUP_PROBES]
+            walls[name] += fresh_process_s(code)
+    medians = [statistics.median(walls[name]) * 1e3 for name, _ in STARTUP_PROBES]
     return {
         "cli.interpreter_ms": medians[0],
         "cli.numpy_import_ms": medians[1] - medians[0],
@@ -459,23 +482,27 @@ def traced_run(runner: Runner, lib: Library, items, seconds: float, workdir: Pat
     untraced, traced, busy, counts = [], [], [], []
     start = time.perf_counter()
     while True:
-        untraced.append(runner.pass_ns(items))
+        elapsed, done = runner.run_pass(items)
+        runner.check_pass(done)
+        untraced.append(elapsed)
         with tracer:
             first = tracer.begin_pass()
-            traced.append(runner.pass_ns(items, tracer))
+            elapsed, done = runner.run_pass(items, tracer)
             pass_busy, pass_counts = tracer.end_pass(first)
+        runner.check_pass(done)
+        traced.append(elapsed)
         busy.append(pass_busy)
         counts.append(pass_counts)
         elapsed = time.perf_counter() - start
         if elapsed >= HARD_CAP_S or (elapsed >= seconds and len(traced) >= TRACE_MIN_PASSES):
             break
     tracer.write(workdir / f"{name}-spans.tsv")
-    layers = dict(counts[0])
+    layers = zero_layers()
+    layers.update(counts[0])
     for key in {k for b in busy for k in b}:
         layers[f"{key}.busy_ms"] = statistics.median(b.get(key, 0.0) for b in busy)
-    attempts = layers.get("synthesis.narrow_attempts", 0)
-    layers["synthesis.narrow_hit_ratio"] = (
-        layers.get("synthesis.narrow_hits", 0) / attempts if attempts else 0.0)
+    attempts = layers[NARROW_ATTEMPTS]
+    layers["synthesis.narrow_hit_ratio"] = layers[NARROW_HITS] / attempts if attempts else 0.0
     layers["untraced_pass_ms"] = statistics.median(untraced) / 1e6
     layers["trace_overhead"] = statistics.median(traced) / 1e6 - layers["untraced_pass_ms"]
     layers["traced_passes"] = len(traced)
@@ -508,16 +535,18 @@ def main(argv=None) -> int:
 
     result = {}
     if args.workload != "cli":
-        result.update(runner.quality_pass(workload.fixed_pass()))   # the warm-up pass
+        # The warm-up pass, over the fixed inputs.
+        result.update(quality(runner.check_pass(runner.run_pass(workload.fixed_pass())[1])))
     if args.trace:
         result.update(startup_probes(PROBE_REPS))
         items = workload.fixed_pass()
         if args.workload == "cli":
             workload.in_process = True
         result.update(traced_run(runner, lib, items, args.seconds, args.workdir, args.workload))
-        if args.workload == "cli":
-            # The command's share of a call: cli.main(argv) run in process, untraced.
-            result["cli.command_ms"] = result["untraced_pass_ms"] / len(items)
+        # The command's share of a call: cli.main(argv) run in process, untraced.
+        # The in-process workloads make no CLI call.
+        result["cli.command_ms"] = (result["untraced_pass_ms"] / len(items)
+                                    if args.workload == "cli" else 0.0)
     else:
         result.update(timed_run(runner, workload.passes(rng), args.seconds,
                                 first_pass_quality=args.workload == "cli"))
