@@ -15,10 +15,8 @@ from itertools import combinations
 from .angles import PI, Angle
 from .ir import Circuit, Gate, cx, diagonal_gate, h, x
 from .ir import t as t_gate, tdg
-from .simulator import (equiv_up_to_global_phase, permutation_unitary,
-                        reference_unitary, template_wires, unitary_of)
-from .synthesis import (OPERATOR_RANGES, BooleanSpec, SynthVerificationError,
-                        fredkin_permutation, miller_permutation)
+from .simulator import equiv_up_to_global_phase, template_wires, unitary_of
+from .synthesis import Operator, SynthVerificationError, operator
 
 
 def controlled_phase(angle: Angle, wires: tuple[int, ...]) -> tuple[Gate, ...]:
@@ -56,58 +54,28 @@ def _multi_controlled_x(controls: tuple[int, ...], target: int) -> tuple[Gate, .
 def naive_synth(kind: str, n: int) -> Circuit:
     """Build a named operator the textbook way, on the template's wires."""
     kind = kind.lower()
-    if kind not in OPERATOR_RANGES:
-        raise ValueError(f"unknown operator {kind!r}")
-    if n not in OPERATOR_RANGES[kind]:
-        raise ValueError(f"{kind} supports n in {list(OPERATOR_RANGES[kind])}, got {n}")
+    op = operator(kind, n)
     controls, target = template_wires(n)
-    gates, expected = _build(kind, n, controls, target)
-    circuit = Circuit(n, gates)
-    if not equiv_up_to_global_phase(unitary_of(circuit), expected):
+    circuit = Circuit(n, _build(kind, op, controls, target))
+    if not equiv_up_to_global_phase(unitary_of(circuit), op.target(n)):
         raise SynthVerificationError(f"naive {kind}({n}) does not match its target unitary")
     return circuit
 
 
-def _build(kind, n, controls, target):
+def _build(kind: str, op: Operator, controls: tuple[int, ...], target: int) -> tuple[Gate, ...]:
+    if op.inverted is not None:
+        # X-dress the inverted controls around a true multi-controlled X,
+        # plus a target X when the function is complemented.
+        dressed = tuple(x(w) for w in controls[op.inverted])
+        gates = dressed + _multi_controlled_x(controls, target) + dressed
+        return gates + (x(target),) if op.complemented else gates
     if kind in ("cv", "cvdg"):
         phase = Angle(1, 2) if kind == "cv" else Angle(-1, 2)
-        gates = (h(target),) + controlled_phase(phase, controls + (target,)) + (h(target),)
-        return gates, reference_unitary(kind, n)
+        return (h(target),) + controlled_phase(phase, controls + (target,)) + (h(target),)
     if kind == "fredkin":
         high = target + 1
         inner = _multi_controlled_x(tuple(w for w in controls if w != high) + (high,), target)
         bridge = cx(target, high)
-        return (bridge,) + inner + (bridge,), permutation_unitary(fredkin_permutation(n))
-    if kind == "miller":
-        gates = (_multi_controlled_x((1, 2), 0) + _multi_controlled_x((0, 2), 1)
-                 + _multi_controlled_x((0, 1), 2))
-        return gates, permutation_unitary(miller_permutation(n))
-    # Boolean family: X-dress the complemented controls around a true
-    # multi-controlled X, plus a target X when the function is complemented.
-    dress, flip = _DRESSINGS[kind]
-    dressed = tuple(x(controls[i]) for i in dress(len(controls)))
-    gates = dressed + _multi_controlled_x(controls, target) + dressed
-    if flip:
-        gates += (x(target),)
-    perm = _boolean_permutation(BooleanSpec.named(kind, n - 1), n, controls, target)
-    return gates, permutation_unitary(perm)
-
-
-_DRESSINGS = {
-    "toffoli": (lambda m: (), False),
-    "and": (lambda m: (), False),
-    "nand": (lambda m: (), True),
-    "or": (lambda m: range(m), True),
-    "nor": (lambda m: range(m), False),
-    "implication": (lambda m: (1,), True),
-    "inhibition": (lambda m: (1,), False),
-}
-
-
-def _boolean_permutation(spec: BooleanSpec, n: int,
-                         controls: tuple[int, ...], target: int) -> tuple[int, ...]:
-    perm = []
-    for index in range(2 ** n):
-        bits = sum((index >> w & 1) << i for i, w in enumerate(controls))
-        perm.append(index ^ (spec.outputs[bits] << target))
-    return tuple(perm)
+        return (bridge,) + inner + (bridge,)
+    return (_multi_controlled_x((1, 2), 0) + _multi_controlled_x((0, 2), 1)
+            + _multi_controlled_x((0, 1), 2))

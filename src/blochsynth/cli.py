@@ -13,19 +13,15 @@ from importlib import resources
 from pathlib import Path
 
 from .baselines import naive_synth
-from .cost import REFERENCE_COSTS, cost_pipeline, report_deviations
-from .ir import Circuit
+from .cost import REFERENCE_COSTS, check_weights, cost_pipeline, report_deviations
 from .layout import Layout, Mapping, heavy_hex, load_layout, parse_layout
-from .simulator import (boolean_action, equiv_up_to_relative_phase,
-                        permutation_unitary, reference_unitary, unitary_of)
-from .synthesis import (BooleanSpec, OPERATOR_RANGES, SynthResult,
-                        SynthVerificationError, fredkin_permutation,
-                        miller_permutation, synth_detailed, synth_table)
+# perfbench/tracing.py wraps these two names here, so they stay importable.
+from .simulator import boolean_action, unitary_of  # noqa: F401
+from .synthesis import (OPERATORS, SynthResult, SynthVerificationError, check,
+                        synth_detailed, synth_table)
 from .textio import emit_circuit, parse_circuit
 from .tracker import render_trace_table
 from .transpile import DEFAULT_BASIS, load_basis
-
-_BOOLEAN_KINDS = ("toffoli", "and", "nand", "or", "nor", "implication", "inhibition")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,13 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     op = argparse.ArgumentParser(add_help=False)
-    op.add_argument("--op", choices=sorted(OPERATOR_RANGES), help="operator name")
+    op.add_argument("--op", choices=sorted(OPERATORS), help="operator name")
     op.add_argument("--n", type=int, help="total qubits (controls + target)")
 
     place = argparse.ArgumentParser(add_help=False)
     place.add_argument("--layout", metavar="FILE", help="layout file (or bundled name)")
     place.add_argument("--heavy-hex", metavar="RxC", help="generate a heavy-hex layout")
-    place.add_argument("--map", metavar="IDS", help="comma-separated physical ids per wire")
 
     weights = argparse.ArgumentParser(add_help=False)
     weights.add_argument("--weights", metavar="W1,W2,W3,W4", default="1,1,1,1",
@@ -82,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", parents=[op, place, weights], help="report N1/N2/XC/D and WTQC")
     p.add_argument("circuit", metavar="FILE", nargs="?", help="circuit file (default: synthesize)")
+    p.add_argument("--map", metavar="IDS", help="comma-separated physical ids per wire")
     p.set_defaults(run=_cmd_cost)
 
     p = sub.add_parser("compare", parents=[op, place, weights],
@@ -137,8 +133,7 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--weights expects four numbers, got {text!r}")
-    w1, w2, w3, w4 = (float(p) for p in parts)
-    return (w1, w2, w3, w4)
+    return check_weights(tuple(float(p) for p in parts))
 
 
 def _parse_map(text: str) -> Mapping:
@@ -152,9 +147,13 @@ def _format_weights(weights) -> str:
 def _cmd_synth(args) -> int:
     if args.table and args.op:
         raise ValueError("--op and --table are mutually exclusive")
+    if args.table and args.n is not None:
+        raise ValueError("--n and --table are mutually exclusive")
     if args.table:
-        outputs = tuple(bool(int(b)) for b in args.table.split(","))
-        result = synth_table(outputs)
+        bits = args.table.split(",")
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"--table expects comma-separated 0/1 bits, got {args.table!r}")
+        result = synth_table(tuple(b == "1" for b in bits))
         header = [f"op: table {args.table}", f"n: {result.n_qubits}"]
     else:
         result = _synth_from_args(args)
@@ -170,38 +169,14 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     op, n = _require_op(args)
     circuit = parse_circuit(Path(args.circuit).read_text())
-    verdict, reason = _check(circuit, op, n)
+    reason = check(op, n, circuit)
     print(f"op={op}")
     print(f"n={n}")
     print(f"circuit={args.circuit}")
-    print(f"verdict={'PASS' if verdict else 'FAIL'}")
+    print(f"verdict={'FAIL' if reason else 'PASS'}")
     if reason:
         print(f"reason={reason}")
-    return 0 if verdict else 1
-
-
-def _check(circuit: Circuit, op: str, n: int) -> tuple[bool, str]:
-    if n not in OPERATOR_RANGES[op]:
-        return False, f"{op} supports n in {list(OPERATOR_RANGES[op])}"
-    if circuit.n_qubits != n:
-        return False, f"circuit has {circuit.n_qubits} qubits, expected {n}"
-    if op in _BOOLEAN_KINDS:
-        try:
-            table = boolean_action(circuit, n - 1)
-        except ValueError as exc:
-            return False, str(exc)
-        if table != BooleanSpec.named(op, n - 1).truth_table():
-            return False, "truth table mismatch"
-        return True, ""
-    if op in ("cv", "cvdg"):
-        target = reference_unitary(op, n)
-    elif op == "fredkin":
-        target = permutation_unitary(fredkin_permutation(n))
-    else:
-        target = permutation_unitary(miller_permutation(n))
-    if not equiv_up_to_relative_phase(unitary_of(circuit), target):
-        return False, "unitary does not match the operator up to relative phase"
-    return True, ""
+    return 1 if reason else 0
 
 
 def _cmd_trace(args) -> int:
@@ -210,8 +185,6 @@ def _cmd_trace(args) -> int:
         text = render_trace_table(circuit)
     else:
         result = _synth_from_args(args)
-        if result.template is None:
-            raise ValueError(f"{result.kind} is a composite circuit with no single trace")
         text = render_trace_table(result.circuit, labels=result.trace_labels())
     _write(text, args.out)
     return 0

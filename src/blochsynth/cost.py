@@ -9,6 +9,7 @@ not double-count it.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ir import Circuit
@@ -54,9 +55,14 @@ def wtqc(counts: tuple[int, int, int, int],
     """The weighted sum W1*N1 + W2*N2 + W3*XC + W4*D."""
     if len(counts) != 4 or len(weights) != 4:
         raise ValueError("need exactly four counts and four weights")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    return float(sum(w * x for w, x in zip(weights, counts)))
+    return float(sum(w * x for w, x in zip(check_weights(weights), counts)))
+
+
+def check_weights(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """Return the weights unchanged after checking each is finite and non-negative."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError("weights must be finite and non-negative")
+    return weights
 
 
 @dataclass(frozen=True)

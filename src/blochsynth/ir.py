@@ -71,6 +71,10 @@ DIAGONAL_PHASES = {
     GateKind.TDG: Angle(-1, 4),
 }
 
+# Their names in trace-table headers.
+DIAGONAL_NAMES = {GateKind.Z: "Z", GateKind.S: "S", GateKind.SDG: "S†",
+                  GateKind.T: "T", GateKind.TDG: "T†"}
+
 
 @dataclass(frozen=True)
 class Gate:

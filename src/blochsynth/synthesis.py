@@ -21,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .angles import ZERO, PI, Angle
-from .ir import (Circuit, Gate, GateKind, GateSet, DIAGONAL_PHASES,
-                 circuit_inverse, cx)
+from .ir import (Circuit, GateKind, GateSet, DIAGONAL_NAMES, cx,
+                 diagonal_gate)
 from .simulator import (boolean_action, equiv_up_to_relative_phase,
                         permutation_unitary, reference_unitary,
                         template_wires, unitary_of, TruthTable)
@@ -57,25 +59,13 @@ class BooleanSpec:
 
     @classmethod
     def named(cls, kind: str, n_controls: int) -> "BooleanSpec":
-        fn = _BOOLEAN_FUNCTIONS[kind]
-        outputs = tuple(fn([bool(x >> i & 1) for i in range(n_controls)])
-                        for x in range(2 ** n_controls))
-        return cls(n_controls, outputs)
+        op = OPERATORS[kind]
+        if op.inverted is None:
+            raise ValueError(f"{kind} is not a Boolean operator")
+        return cls(n_controls, op.outputs(n_controls))
 
     def truth_table(self) -> TruthTable:
         return TruthTable(self.n_controls, self.outputs)
-
-
-# control_1 = bits[0]; implication/inhibition read (a, b) = (c1, c2).
-_BOOLEAN_FUNCTIONS = {
-    "toffoli": all,
-    "and": all,
-    "nand": lambda bits: not all(bits),
-    "or": any,
-    "nor": lambda bits: not any(bits),
-    "implication": lambda bits: (not bits[0]) or bits[1],
-    "inhibition": lambda bits: bits[0] and not bits[1],
-}
 
 
 @dataclass(frozen=True)
@@ -251,34 +241,14 @@ class SynthResult:
             if slot.kind == SlotKind.THETA:
                 angle = self.assignment.thetas[slot.index - 1]
                 if not angle.is_zero():
-                    labels.append(f"θ{slot.index}({_gate_name(angle)})")
+                    name = DIAGONAL_NAMES.get(diagonal_gate(angle, 0).kind, str(angle))
+                    labels.append(f"θ{slot.index}({name})")
             elif slot.kind == SlotKind.CNOT:
                 labels.append(f"CNOT(c{slot.index})")
             elif slot.kind == SlotKind.AX2 and self.assignment.ax2 != Ax2.I:
                 labels.append(f"AX2({self.assignment.ax2.value})")
         return tuple(labels)
 
-
-def _gate_name(angle: Angle) -> str:
-    for kind, phase in DIAGONAL_PHASES.items():
-        if phase == angle:
-            return {"z": "Z", "s": "S", "sdg": "S†", "t": "T", "tdg": "T†"}[kind.value]
-    return str(angle)
-
-
-OPERATOR_RANGES = {
-    "toffoli": range(2, 6),
-    "and": range(2, 6),
-    "nand": range(2, 6),
-    "or": range(2, 6),
-    "nor": range(2, 6),
-    "implication": range(3, 4),
-    "inhibition": range(3, 4),
-    "cv": (2, 4),
-    "cvdg": (2, 4),
-    "fredkin": (3, 4),
-    "miller": (3, 4),
-}
 
 # Miller permutation on three bits (bit i = wire i): the 4-cycle over the
 # states with two or more set bits, everything else fixed.
@@ -292,19 +262,10 @@ def synth(kind: str, n: int) -> Circuit:
 
 def synth_detailed(kind: str, n: int) -> SynthResult:
     kind = kind.lower()
-    if kind not in OPERATOR_RANGES:
-        raise ValueError(f"unknown operator {kind!r} (choose from {sorted(OPERATOR_RANGES)})")
-    if n not in OPERATOR_RANGES[kind]:
-        raise ValueError(f"{kind} supports n in {list(OPERATOR_RANGES[kind])}, got {n}")
-    if kind in _BOOLEAN_FUNCTIONS:
-        result = _synth_boolean(kind, n)
-    elif kind in ("cv", "cvdg"):
-        result = _synth_cv(kind, n)
-    elif kind == "fredkin":
-        result = _synth_fredkin(n)
-    else:
-        result = _synth_miller(n)
-    _verify(result)
+    result = operator(kind, n).design(kind, n)
+    reason = check(kind, n, result.circuit)
+    if reason:
+        raise SynthVerificationError(f"{kind}({n}): {reason}")
     return result
 
 
@@ -334,9 +295,8 @@ def _synth_boolean(kind: str, n: int) -> SynthResult:
     return SynthResult(kind, n, circuit, template, assignment)
 
 
-def _synth_cv(kind: str, n: int) -> SynthResult:
+def _synth_cv(tau: Angle, kind: str, n: int) -> SynthResult:
     template = make_template(n)
-    tau = Angle(1, 2) if kind == "cv" else Angle(-1, 2)
     targets = tuple(tau if x == 2 ** (n - 1) - 1 else ZERO for x in range(2 ** (n - 1)))
     try:
         thetas, ax2_phase = solve_phase_system(template, targets)
@@ -349,11 +309,11 @@ def _synth_cv(kind: str, n: int) -> SynthResult:
 
 def _and_core(n: int) -> tuple[Circuit, Template, ThetaAssignment]:
     template = make_template(n)
-    assignment = solve_thetas(template, BooleanSpec.named("and", n - 1))
+    assignment = solve_thetas(template, BooleanSpec(n - 1, _AND.outputs(n - 1)))
     return instantiate(template, assignment.thetas, assignment.ax2.phase), template, assignment
 
 
-def _synth_fredkin(n: int) -> SynthResult:
+def _synth_fredkin(kind: str, n: int) -> SynthResult:
     # Controlled swap of the target wire with the wire above it: conjugating
     # the AND core's target flip by CX turns the flip into an exchange.
     core, template, assignment = _and_core(n)
@@ -361,10 +321,10 @@ def _synth_fredkin(n: int) -> SynthResult:
     bridge = cx(target, target + 1)
     circuit = Circuit(n, (bridge,) + core.gates + (bridge,))
     note = f"CX({target},{target + 1}) sandwich around the {n}-qubit AND core"
-    return SynthResult("fredkin", n, circuit, template, assignment, (note,))
+    return SynthResult(kind, n, circuit, template, assignment, (note,))
 
 
-def _synth_miller(n: int) -> SynthResult:
+def _synth_miller(kind: str, n: int) -> SynthResult:
     # Three AND cores on wires (0,1,2) interleaved with four CNOTs; the word
     # was found by breadth-first search over chain-adjacent generators and
     # realizes the Miller permutation with 3*3 + 4 = 13 two-qubit gates.
@@ -373,7 +333,7 @@ def _synth_miller(n: int) -> SynthResult:
          + [cx(1, 0)] + list(core.gates) + [cx(1, 0)]
     circuit = Circuit(n, tuple(word))
     note = "CX(1,2)/CX(1,0) conjugated AND cores realizing the Miller permutation"
-    return SynthResult("miller", n, circuit, template, assignment, (note,))
+    return SynthResult(kind, n, circuit, template, assignment, (note,))
 
 
 def fredkin_permutation(n: int) -> tuple[int, ...]:
@@ -394,19 +354,86 @@ def miller_permutation(n: int) -> tuple[int, ...]:
     return tuple(MILLER_PERMUTATION[index & 7] | (index & ~7) for index in range(2 ** n))
 
 
-def _verify(result: SynthResult) -> None:
-    """Post-hoc verification; a failure here is an internal bug, not bad input."""
-    kind, n, c = result.kind, result.n_qubits, result.circuit
-    if kind in _BOOLEAN_FUNCTIONS:
-        expected = BooleanSpec.named(kind, n - 1).truth_table()
-        if boolean_action(c, n - 1) != expected:
-            raise SynthVerificationError(f"{kind}({n}) truth table mismatch")
-    elif kind in ("cv", "cvdg"):
-        if not equiv_up_to_relative_phase(unitary_of(c), reference_unitary(kind, n)):
-            raise SynthVerificationError(f"{kind}({n}) is not a relative-phase controlled-sqrt(X)")
-    elif kind == "fredkin":
-        if not equiv_up_to_relative_phase(unitary_of(c), permutation_unitary(fredkin_permutation(n))):
-            raise SynthVerificationError(f"fredkin({n}) permutation mismatch")
-    elif kind == "miller":
-        if not equiv_up_to_relative_phase(unitary_of(c), permutation_unitary(miller_permutation(n))):
-            raise SynthVerificationError(f"miller({n}) permutation mismatch")
+@dataclass(frozen=True)
+class Operator:
+    """One named operator: its sizes, template design and exact target.
+
+    A Boolean operator is the AND of its control literals, complemented
+    when `complemented`: `inverted` slices out the controls c1..ck read
+    inverted, and its target XORs that function into the target wire.  Every
+    other operator leaves `inverted` None and gives its target `unitary`.
+    """
+    sizes: range | tuple[int, ...]
+    design: Callable[[str, int], SynthResult]
+    unitary: Callable[[int], np.ndarray] | None = None
+    inverted: slice | None = None
+    complemented: bool = False
+
+    def outputs(self, n_controls: int) -> tuple[bool, ...]:
+        """The Boolean truth table, row x = control assignment (c1 = bit 0)."""
+        ones = 2 ** n_controls - 1
+        flip = sum(1 << i for i in range(n_controls)[self.inverted])
+        return tuple((x ^ flip == ones) != self.complemented for x in range(ones + 1))
+
+    def target(self, n: int) -> np.ndarray:
+        """The exact target unitary on n qubits."""
+        if self.inverted is None:
+            return self.unitary(n)
+        controls, target = template_wires(n)
+        outputs = self.outputs(n - 1)
+        return permutation_unitary(tuple(
+            index ^ (outputs[sum((index >> w & 1) << i for i, w in enumerate(controls))] << target)
+            for index in range(2 ** n)))
+
+
+_AND = Operator(range(2, 6), _synth_boolean, inverted=slice(0))
+
+OPERATORS: dict[str, Operator] = {
+    "toffoli": _AND,
+    "and": _AND,
+    "nand": Operator(range(2, 6), _synth_boolean, inverted=slice(0), complemented=True),
+    "or": Operator(range(2, 6), _synth_boolean, inverted=slice(None), complemented=True),
+    "nor": Operator(range(2, 6), _synth_boolean, inverted=slice(None)),
+    "implication": Operator(range(3, 4), _synth_boolean, inverted=slice(1, 2), complemented=True),
+    "inhibition": Operator(range(3, 4), _synth_boolean, inverted=slice(1, 2)),
+    "cv": Operator((2, 4), partial(_synth_cv, Angle(1, 2)), partial(reference_unitary, "cv")),
+    "cvdg": Operator((2, 4), partial(_synth_cv, Angle(-1, 2)), partial(reference_unitary, "cvdg")),
+    "fredkin": Operator((3, 4), _synth_fredkin,
+                        lambda n: permutation_unitary(fredkin_permutation(n))),
+    "miller": Operator((3, 4), _synth_miller,
+                       lambda n: permutation_unitary(miller_permutation(n))),
+}
+
+OPERATOR_RANGES = {kind: op.sizes for kind, op in OPERATORS.items()}
+
+
+def operator(kind: str, n: int) -> Operator:
+    """The registry entry for kind, after checking that it supports n qubits."""
+    op = OPERATORS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown operator {kind!r} (choose from {sorted(OPERATORS)})")
+    if n not in op.sizes:
+        raise ValueError(f"{kind} supports n in {list(op.sizes)}, got {n}")
+    return op
+
+
+def check(kind: str, n: int, circuit: Circuit) -> str:
+    """Why circuit does not realize kind on n qubits; empty when it does.
+
+    Boolean operators are checked by truth table, all others against their
+    target unitary up to relative phase.
+    """
+    op = OPERATORS[kind]
+    if n not in op.sizes:
+        return f"{kind} supports n in {list(op.sizes)}"
+    if circuit.n_qubits != n:
+        return f"circuit has {circuit.n_qubits} qubits, expected {n}"
+    if op.inverted is None:
+        if equiv_up_to_relative_phase(unitary_of(circuit), op.target(n)):
+            return ""
+        return "unitary does not match the operator up to relative phase"
+    try:
+        table = boolean_action(circuit, n - 1)
+    except ValueError as exc:
+        return str(exc)
+    return "" if table.outputs == op.outputs(n - 1) else "truth table mismatch"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .angles import ZERO, PI, Angle
-from .ir import Circuit, GateKind, DIAGONAL_PHASES
+from .ir import Circuit, GateKind, DIAGONAL_NAMES, DIAGONAL_PHASES
 
 # Rendering constants: en dash for inactive-CNOT cells, kets for outputs.
 DASH = "–"
@@ -132,10 +132,6 @@ def phase_track(c: Circuit, controls: int | str, target: int | None = None) -> t
     return trace(c, controls, target).points
 
 
-def _theta_name(angle_label: str) -> str:
-    return {"z": "Z", "s": "S", "sdg": "S†", "t": "T", "tdg": "T†"}.get(angle_label, angle_label)
-
-
 def render_trace_table(c: Circuit, target: int | None = None,
                        labels: tuple[str, ...] | None = None) -> str:
     """The full per-input trace table: one row per control assignment.
@@ -156,7 +152,8 @@ def render_trace_table(c: Circuit, target: int | None = None,
         if labels is not None:
             header.append(labels[k])
         elif event.label.startswith("θ("):
-            header.append(f"θ({_theta_name(event.label[2:-1])})")
+            kind = event.label[2:-1]
+            header.append(f"θ({DIAGONAL_NAMES.get(GateKind(kind), kind)})")
         else:
             header.append(event.label)
     header += ["SP2", "output"]

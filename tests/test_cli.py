@@ -1,6 +1,9 @@
 """CLI subcommands: golden outputs, exit codes, and determinism."""
+from dataclasses import replace
+
 import pytest
 
+from blochsynth import synthesis
 from blochsynth.cli import main, parse_bundled
 
 AND3_TEXT = """\
@@ -82,6 +85,12 @@ def test_synth_usage_errors(capsys):
     assert rc == 2 and "--op and --n are required" in err
     rc, _, err = run(capsys, "synth", "--op", "and", "--n", "9")
     assert rc == 2 and "supports n in" in err
+    for bits in ("0,0,0,2", "0,0,0,-1"):
+        rc, out, err = run(capsys, "synth", "--table", bits)
+        assert rc == 2 and out == "" and err == (
+            f"error: --table expects comma-separated 0/1 bits, got '{bits}'\n")
+    rc, out, err = run(capsys, "synth", "--table", "0,0,0,1", "--n", "5")
+    assert rc == 2 and out == "" and "mutually exclusive" in err
     with pytest.raises(SystemExit):
         main(["synth", "--op", "parity", "--n", "3"])
 
@@ -97,6 +106,8 @@ def test_verify_pass_and_fail(capsys, tmp_path):
     assert "verdict=FAIL" in out and "reason=truth table mismatch" in out
     rc, out, _ = run(capsys, "verify", str(path), "--op", "and", "--n", "4")
     assert rc == 1 and "reason=circuit has 3 qubits, expected 4" in out
+    rc, out, _ = run(capsys, "verify", str(path), "--op", "implication", "--n", "4")
+    assert rc == 1 and "reason=implication supports n in [3]\n" in out
 
 
 def test_verify_relative_phase_operators(capsys, tmp_path):
@@ -105,6 +116,24 @@ def test_verify_relative_phase_operators(capsys, tmp_path):
         run(capsys, "synth", "--op", op, "--n", str(n), "--out", str(path))
         rc, out, _ = run(capsys, "verify", str(path), "--op", op, "--n", str(n))
         assert rc == 0 and "verdict=PASS" in out, (op, n)
+    cv = tmp_path / "cv2.txt"
+    rc, out, _ = run(capsys, "verify", str(cv), "--op", "cvdg", "--n", "2")
+    assert rc == 1 and out.endswith(
+        "verdict=FAIL\nreason=unitary does not match the operator up to relative phase\n")
+    rc, out, _ = run(capsys, "verify", str(cv), "--op", "and", "--n", "2")
+    assert rc == 1 and "reason=not a Boolean operator: input row 1 leaves target" in out
+
+
+def test_wrong_design_is_an_internal_error(capsys, monkeypatch):
+    wrong = replace(synthesis.OPERATORS["and"],
+                    design=lambda kind, n: synthesis.synth_detailed("nor", n))
+    monkeypatch.setitem(synthesis.OPERATORS, "and", wrong)
+    with pytest.raises(synthesis.SynthVerificationError,
+                       match=r"^and\(3\): truth table mismatch$"):
+        synthesis.synth("and", 3)
+    rc, out, err = run(capsys, "synth", "--op", "and", "--n", "3")
+    assert rc == 3 and out == ""
+    assert err == "internal error: and(3): truth table mismatch\n"
 
 
 def test_trace_golden(capsys):
@@ -191,6 +220,15 @@ def test_cost_usage_errors(capsys):
     rc, _, err = run(capsys, "cost", "--op", "and", "--n", "3",
                      "--layout", "no_such_layout")
     assert rc == 2 and "neither a file nor a bundled name" in err
+    for command, weights in (("cost", "nan,1,1,1"), ("cost", "1,inf,1,1"),
+                             ("compare", "-1,1,1,1")):
+        rc, out, err = run(capsys, command, "--op", "and", "--n", "3",
+                           f"--weights={weights}")
+        assert rc == 2 and out == ""
+        assert err == "error: weights must be finite and non-negative\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--op", "and", "--n", "3", "--map", "0,1,2"])
+    assert exc.value.code == 2
 
 
 def test_compare_golden(capsys):

@@ -8,7 +8,7 @@ from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport,
                              cost_pipeline, depth, report_deviations, wtqc)
 from blochsynth.ir import Circuit, cx, cz, h
 from blochsynth.layout import (Mapping, heavy_hex, make_layout, parse_layout)
-from blochsynth.synthesis import synth
+from blochsynth.synthesis import OPERATOR_RANGES, synth
 
 from conftest import random_circuit
 
@@ -65,8 +65,9 @@ def test_wtqc_goldens():
 def test_wtqc_validation():
     with pytest.raises(ValueError, match="four"):
         wtqc((1, 2, 3))
-    with pytest.raises(ValueError, match="non-negative"):
-        wtqc((1, 2, 3, 4), (1.0, -1.0, 1.0, 1.0))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            wtqc((1, 2, 3, 4), (1.0, bad, 1.0, 1.0))
 
 
 def test_cost_report_properties():
@@ -125,6 +126,7 @@ def test_reference_rows_cover_the_benchmark():
     assert len(REFERENCE_COSTS) == 14
     assert all(ref[2] == 0 for ref in REFERENCE_COSTS.values())
     assert REFERENCE_COSTS[("cv", 2)] == (6, 1, 0, 7)
+    assert all(n in OPERATOR_RANGES[kind] for kind, n in REFERENCE_COSTS)
 
 
 def test_report_deviations():

@@ -218,6 +218,18 @@ def test_trace_labels_golden():
 
 
 def test_de_morgan_complements():
+    # Literal truth tables, independent of the registry's literal forms.
+    assert {kind: BooleanSpec.named(kind, 2).outputs
+            for kind in ("toffoli", "and", "nand", "or", "nor",
+                         "implication", "inhibition")} == {
+        "toffoli": (False, False, False, True),
+        "and": (False, False, False, True),
+        "nand": (True, True, True, False),
+        "or": (False, True, True, True),
+        "nor": (True, False, False, False),
+        "implication": (True, False, True, True),
+        "inhibition": (False, True, False, False),
+    }
     for a, b in (("and", "nand"), ("or", "nor")):
         for k in range(1, 5):
             lhs = BooleanSpec.named(a, k).outputs
@@ -232,6 +244,8 @@ def test_de_morgan_complements():
 def test_boolean_spec_validation():
     with pytest.raises(ValueError):
         BooleanSpec(2, (True, False))
+    with pytest.raises(ValueError, match="not a Boolean operator"):
+        BooleanSpec.named("cv", 1)
 
 
 def test_fredkin_permutation_goldens():
