@@ -158,9 +158,8 @@ def _cmd_synth(args) -> int:
     else:
         result = _synth_from_args(args)
         header = [f"op: {result.kind}", f"n: {result.n_qubits}"]
-    if result.assignment is not None:
-        header.append("thetas: " + " ".join(str(t) for t in result.assignment.thetas))
-        header.append(f"ax2: {result.assignment.ax2.value}")
+    header.append("thetas: " + " ".join(str(t) for t in result.assignment.thetas))
+    header.append(f"ax2: {result.assignment.ax2.value}")
     header += [f"note: {note}" for note in result.notes]
     _write(emit_circuit(result.circuit, header=tuple(header)), args.out)
     return 0
@@ -201,6 +200,8 @@ def _cmd_cost(args) -> int:
         circuit, kind = result.circuit, result.kind
         lines += [f"op={kind}", f"n={result.n_qubits}"]
     layout = _resolve_layout(args)
+    if args.map and layout is None:
+        raise ValueError("--map needs --layout or --heavy-hex")
     mapping = _parse_map(args.map) if args.map else None
     basis = load_basis(args.basis) if args.basis else DEFAULT_BASIS
     report = cost_pipeline(circuit, layout, mapping,

@@ -238,7 +238,7 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
     the shortest path toward the second, one SWAP per hop; XC is the number
     of SWAPs inserted, which stay SWAP-kind in the returned circuit.
     """
-    if mapping.n_qubits < c.n_qubits:
+    if mapping.n_qubits != c.n_qubits:
         raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
     for p in mapping.physical:
         if p not in layout.qubits:

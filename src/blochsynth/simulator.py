@@ -74,66 +74,45 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    # Qubit q = bit q of the flat index = axis n-1-q of the C-order tensor.
-    axis = n - 1 - q
-    state = state.reshape([2] * n)
-    state = np.tensordot(mat, state, axes=([1], [axis]))
-    return np.moveaxis(state, 0, axis).reshape(-1)
+def _evolve(c: Circuit, block: np.ndarray) -> np.ndarray:
+    """Apply every gate of c to each column of a (2^n, k) block; returns a new block."""
+    n = c.n_qubits
+    # Qubit q = bit q of the row index = axis n-1-q of the C-order tensor;
+    # the last axis runs over the k columns.
+    state = np.array(block, dtype=complex).reshape([2] * n + [-1])
+    for g in c.gates:
+        axes = [n - 1 - q for q in g.qubits]
+        if g.kind.n_qubits == 1:
+            state = np.tensordot(gate_matrix(g), state, axes=([1], axes))
+            state = np.moveaxis(state, 0, axes[0])
+            continue
 
-def _apply_2q(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    state = state.reshape([2] * n).copy()
-    a0, a1 = n - 1 - g.qubits[0], n - 1 - g.qubits[1]
+        def sel(v0, v1):
+            idx = [slice(None)] * (n + 1)
+            idx[axes[0]], idx[axes[1]] = v0, v1
+            return tuple(idx)
 
-    def sel(v0, v1):
-        idx = [slice(None)] * n
-        idx[a0], idx[a1] = v0, v1
-        return tuple(idx)
-
-    if g.kind == GateKind.CX:
-        tmp = state[sel(1, 0)].copy()
-        state[sel(1, 0)] = state[sel(1, 1)]
-        state[sel(1, 1)] = tmp
-    elif g.kind == GateKind.CZ:
-        state[sel(1, 1)] *= -1
-    elif g.kind == GateKind.SWAP:
-        tmp = state[sel(0, 1)].copy()
-        state[sel(0, 1)] = state[sel(1, 0)]
-        state[sel(1, 0)] = tmp
-    else:
-        raise ValueError(f"unknown two-qubit kind {g.kind.value}")
-    return state.reshape(-1)
+        if g.kind == GateKind.CX:
+            state[sel(1, 0)], state[sel(1, 1)] = state[sel(1, 1)].copy(), state[sel(1, 0)].copy()
+        elif g.kind == GateKind.CZ:
+            state[sel(1, 1)] *= -1
+        else:   # SWAP
+            state[sel(0, 1)], state[sel(1, 0)] = state[sel(1, 0)].copy(), state[sel(0, 1)].copy()
+    return state.reshape(2 ** n, -1)
 
 
 def apply(c: Circuit, state: StateVector) -> StateVector:
     """Apply every gate of c in order to the state."""
     if c.n_qubits != state.n_qubits:
         raise ValueError(f"circuit on {c.n_qubits} qubits, state on {state.n_qubits}")
-    amps = state.amplitudes.copy()
-    for g in c.gates:
-        if g.kind.n_qubits == 1:
-            amps = _apply_1q(amps, gate_matrix(g), g.qubits[0], c.n_qubits)
-        else:
-            amps = _apply_2q(amps, g, c.n_qubits)
-    return StateVector(c.n_qubits, amps)
+    return StateVector(c.n_qubits, _evolve(c, state.amplitudes.reshape(-1, 1)))
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary of the circuit (gates applied left to right)."""
     if c.n_qubits > MAX_SIM_QUBITS:
         raise ValueError(f"unitary_of supports at most {MAX_SIM_QUBITS} qubits")
-    dim = 2 ** c.n_qubits
-    cols = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        if g.kind.n_qubits == 1:
-            mat = gate_matrix(g)
-            axis = c.n_qubits - 1 - g.qubits[0]
-            cols = np.tensordot(mat, cols.reshape([2] * c.n_qubits + [dim]), axes=([1], [axis]))
-            cols = np.moveaxis(cols, 0, axis).reshape(dim, dim)
-        else:
-            for k in range(dim):
-                cols[:, k] = _apply_2q(np.ascontiguousarray(cols[:, k]), g, c.n_qubits)
-    return cols
+    return _evolve(c, np.eye(2 ** c.n_qubits, dtype=complex))
 
 
 def equiv_exact(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
@@ -222,20 +201,26 @@ def boolean_action(c: Circuit, n_controls: int, tol: float = 1e-9) -> TruthTable
 
     Control wires and the target follow the template convention (target =
     middle wire, controls ascending; control_i = bit i-1 of the row index).
-    Errors if any basis input leaves the target in superposition or moves
-    a control.
+    All inputs are simulated at once, as columns of one block.  Errors if
+    any basis input leaves the target in superposition or moves a control,
+    or if the circuit is wider than MAX_SIM_QUBITS.
     """
     if c.n_qubits != n_controls + 1:
         raise ValueError(f"circuit has {c.n_qubits} qubits, expected {n_controls + 1}")
+    if c.n_qubits > MAX_SIM_QUBITS:
+        raise ValueError(f"boolean_action supports at most {MAX_SIM_QUBITS} qubits")
     controls, target = template_wires(c.n_qubits)
+    rows = range(2 ** n_controls)
+    inputs = [sum(((row >> i) & 1) << controls[i] for i in range(n_controls)) for row in rows]
+    block = np.zeros((2 ** c.n_qubits, len(rows)), dtype=complex)
+    block[inputs, rows] = 1.0
+    final = _evolve(c, block)
     outputs = []
-    for row in range(2 ** n_controls):
-        index = sum(((row >> i) & 1) << controls[i] for i in range(n_controls))
-        final = apply(c, StateVector.basis(c.n_qubits, index))
+    for row, index in enumerate(inputs):
         out_bit = None
         for bit in (0, 1):
             expected = index | (bit << target)
-            if abs(abs(final.amplitudes[expected]) ** 2 - 1.0) <= tol:
+            if abs(abs(final[expected, row]) ** 2 - 1.0) <= tol:
                 out_bit = bit
                 break
         if out_bit is None:

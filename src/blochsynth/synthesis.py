@@ -7,12 +7,13 @@ A template instance applies, for control assignment x, the equator phase
 
 so designing a gate means solving this linear system mod 2pi against the
 target phases (pi * f(x) for Boolean operators, +-pi/2 * f(x) for CV/CV†).
-Because the slot masks enumerate the full character group, the system has
-exactly one solution per AX2 choice; the solver still *enumerates* the
-narrowed candidate set in a fixed documented order (slot 1 cycling fastest,
-angles descending, AX2 = 0 tried before pi) so that ties between the AX2
-branches resolve deterministically, and falls back to the closed-form
-character transform when the narrowed set cannot express the solution.
+Because the slot masks enumerate the full character group, the character
+(Walsh) transform of the target phases solves it in closed form, once per
+AX2 choice.  Between the two branches the solver prefers a solution that
+lies wholly in the narrowed candidate set, and among those the one that
+comes first in a fixed order (slot 1 cycling fastest over the descending
+candidates); otherwise it takes the first branch (AX2 = 0, then pi) whose
+thetas stay in the candidates or zero, or are any dyadic angle when widened.
 
 All arithmetic runs in integer units of pi/64 (mod 128): exact, no floats.
 """
@@ -72,7 +73,7 @@ class BooleanSpec:
 class NarrowingResult:
     ctg3: GateSet
     seg1: frozenset[str]
-    candidates: tuple[Angle, ...]   # descending; the solver's enumeration alphabet
+    candidates: tuple[Angle, ...]   # descending; solutions inside them win, in this order
 
 
 def narrow_gate_set(n_cnot: int) -> NarrowingResult:
@@ -138,61 +139,46 @@ def solve_phase_system(template: Template, targets: tuple[Angle, ...],
                        widen: bool = False) -> tuple[tuple[Angle, ...], Angle]:
     """Return (thetas, ax2_phase) with sum_j s_j(x) theta_j + ax2 = targets[x] mod 2pi.
 
-    Enumerates the narrowed candidate set first (slot 1 fastest, angles
-    descending, ax2 0-then-pi); when that fails, inverts the system through
-    the character transform and accepts the result if it stays dyadic and,
-    unless widen is set, inside the narrowed set (zero thetas allowed as
-    identity slots).
+    Inverts the system through the character transform once per AX2 branch
+    and keeps each branch's solution that checks exactly.  Solutions wholly
+    inside the narrowed candidates win, the lowest enumeration index
+    sum_j digit_j * |candidates|^j first (digit_j = the position of theta_j
+    in the descending candidates).  Otherwise the first branch (ax2 0, then
+    pi) whose thetas are candidates or zero (identity slots) is returned, or
+    with widen set any dyadic solution.
     """
     masks = slot_masks(template)
     n_rows = 2 ** (template.n_qubits - 1)
     if len(targets) != n_rows:
         raise ValueError(f"need {n_rows} target phases")
     sign = _sign_matrix(masks, n_rows)
-    target_units = np.array([_units(a) for a in targets], dtype=np.int64)
-    ax_options = (0, _UNIT_DEN) if template.n_qubits >= 3 else (0,)
+    target_units = np.array([_units(a) for a in targets], dtype=np.int64) % _MOD
+    cands = narrow_gate_set(template.n_cnots).candidates
 
-    narrowing = narrow_gate_set(template.n_cnots)
-    cand_units = np.array([_units(a) for a in narrowing.candidates], dtype=np.int64)
-    n_cand, n_slots = len(cand_units), template.n_thetas
-
-    if n_cand ** n_slots <= 1 << 20:
-        idx = np.arange(n_cand ** n_slots, dtype=np.int64)
-        digits = np.empty((idx.size, n_slots), dtype=np.int64)
-        for j in range(n_slots):
-            digits[:, j] = (idx // n_cand ** j) % n_cand     # slot 1 cycles fastest
-        values = cand_units[digits]
-        sums = values @ sign.T % _MOD
-        hits = {a: np.all((sums + a) % _MOD == target_units % _MOD, axis=1)
-                for a in ax_options}
-        combined = np.zeros(idx.size, dtype=bool)
-        for a in ax_options:
-            combined |= hits[a]
-        if combined.any():
-            first = int(np.argmax(combined))
-            ax_units = next(a for a in ax_options if hits[a][first])
-            thetas = tuple(narrowing.candidates[d] for d in digits[first])
-            return thetas, Angle(ax_units, _UNIT_DEN)
-
-    # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2).
-    for ax_units in ax_options:
+    solutions = []
+    for ax_units in (0, _UNIT_DEN) if template.n_qubits >= 3 else (0,):
+        # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2).
         rhs = (target_units - ax_units) % _MOD
         rhs = np.where(rhs > _UNIT_DEN, rhs - _MOD, rhs)       # representative in (-pi, pi]
         numer = sign.T @ rhs
         if np.any(numer % n_rows):
             continue
         units = numer // n_rows
-        thetas = tuple(Angle(int(u), _UNIT_DEN) for u in units)
-        check = (np.array([_units(t) for t in thetas]) @ sign.T + ax_units) % _MOD
-        if not np.array_equal(check, target_units % _MOD):
-            continue
-        if not widen:
-            allowed = set(narrowing.candidates) | {ZERO}
-            if any(t not in allowed for t in thetas):
-                continue
-        return thetas, Angle(ax_units, _UNIT_DEN)
+        if np.array_equal((sign @ units + ax_units) % _MOD, target_units):
+            solutions.append((tuple(Angle(int(u), _UNIT_DEN) for u in units),
+                              Angle(ax_units, _UNIT_DEN)))
+
+    # Enumeration index of an all-candidate solution: slot 1 cycles fastest
+    # over the descending candidates.
+    narrow = {sum(cands.index(t) * len(cands) ** j for j, t in enumerate(thetas)):
+              (thetas, ax2) for thetas, ax2 in solutions if set(thetas) <= set(cands)}
+    if narrow:
+        return narrow[min(narrow)]
+    for thetas, ax2 in solutions:
+        if widen or set(thetas) <= set(cands) | {ZERO}:
+            return thetas, ax2
     raise UnsatisfiableError(
-        f"unsatisfiable in CTG3 (candidates {[str(c) for c in narrowing.candidates]})")
+        f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
 
 
 def theta_system_holds(template: Template, thetas: tuple[Angle, ...],
@@ -227,14 +213,13 @@ class SynthResult:
     kind: str
     n_qubits: int
     circuit: Circuit
-    template: Template | None
-    assignment: ThetaAssignment | None
+    template: Template
+    assignment: ThetaAssignment
     notes: tuple[str, ...] = ()
 
     def trace_labels(self) -> tuple[str, ...]:
         """Column labels for the trace table, one per emitted target event."""
-        if (self.template is None or self.assignment is None
-                or self.kind in ("fredkin", "miller")):
+        if self.kind in ("fredkin", "miller"):
             raise ValueError(f"{self.kind} has no single-template trace")
         labels = []
         for slot in self.template.slots:

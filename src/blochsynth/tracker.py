@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .angles import ZERO, PI, Angle
 from .ir import Circuit, GateKind, DIAGONAL_NAMES, DIAGONAL_PHASES
+from .simulator import MAX_SIM_QUBITS
 
 # Rendering constants: en dash for inactive-CNOT cells, kets for outputs.
 DASH = "–"
@@ -142,6 +143,8 @@ def render_trace_table(c: Circuit, target: int | None = None,
     `labels` to override the per-event column names (the synthesizer does,
     to number theta slots and mark the AX2 column).
     """
+    if c.n_qubits > MAX_SIM_QUBITS:
+        raise ValueError(f"trace table supports at most {MAX_SIM_QUBITS} qubits, got {c.n_qubits}")
     n_controls = c.n_qubits - 1
     rows = [trace(c, m, target) for m in range(2 ** n_controls)]
     ref = rows[0]

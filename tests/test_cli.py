@@ -160,6 +160,14 @@ def test_trace_from_file_uses_derived_labels(capsys, tmp_path):
     assert len(out.splitlines()) == 6    # header, rule, four rows
 
 
+def test_trace_rejects_wide_files(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("qubits 30\nh 0\n")
+    rc, out, err = run(capsys, "trace", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: trace table supports at most 10 qubits, got 30\n"
+
+
 def test_trace_rejects_composites(capsys):
     rc, _, err = run(capsys, "trace", "--op", "fredkin", "--n", "3")
     assert rc == 2 and "no single-template trace" in err
@@ -229,6 +237,15 @@ def test_cost_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--op", "and", "--n", "3", "--map", "0,1,2"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3", "--map", "0,1")
+    assert rc == 2 and out == ""
+    assert err == "error: --map needs --layout or --heavy-hex\n"
+    for ids in ("0,1", "0,1,2,3"):
+        rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3",
+                           "--layout", "ibm_torino", "--map", ids)
+        assert rc == 2 and out == ""
+        assert err == f"error: mapping covers {ids.count(',') + 1} wires, circuit has 3\n"
 
 
 def test_compare_golden(capsys):

@@ -204,6 +204,8 @@ def test_route_validates_the_mapping():
     lay = path_layout(3)
     with pytest.raises(ValueError, match="mapping covers"):
         route(Circuit(3, (h(0),)), lay, Mapping((0, 1)))
+    with pytest.raises(ValueError, match="mapping covers 3 wires, circuit has 2"):
+        route(Circuit(2, (h(0),)), lay, Mapping((0, 1, 2)))
     with pytest.raises(ValueError, match="not in"):
         route(Circuit(2, (h(0),)), lay, Mapping((0, 9)))
 

@@ -6,8 +6,8 @@ from conftest import random_circuit
 from blochsynth.ir import (Circuit, Gate, GateKind, cx, cz, h, rz, s, swap,
                            sx, t, x, z)
 from blochsynth.angles import PI, PI_2, Angle
-from blochsynth.simulator import (SignedPauli, StateVector, TruthTable,
-                                  boolean_action, clifford_conjugate,
+from blochsynth.simulator import (MAX_SIM_QUBITS, SignedPauli, StateVector, TruthTable,
+                                  apply, boolean_action, clifford_conjugate,
                                   equiv_exact, equiv_up_to_global_phase,
                                   equiv_up_to_relative_phase, gate_matrix,
                                   permutation_unitary, reference_unitary,
@@ -57,13 +57,50 @@ def test_composition_order_is_left_to_right():
 
 def test_apply_matches_unitary_columns():
     rng = np.random.default_rng(7)
-    from blochsynth.simulator import apply
     for _ in range(20):
         c = random_circuit(rng, 3, 12, with_rz=True)
         u = unitary_of(c)
         k = int(rng.integers(8))
         out = apply(c, StateVector.basis(3, k))
         assert np.allclose(out.amplitudes, u[:, k], atol=1e-12)
+
+
+def _kron_matrix(g, n):
+    """The full 2^n matrix of one gate, built without the simulator's kernel."""
+    dim = 2 ** n
+    if g.kind.n_qubits == 1:
+        q = g.qubits[0]
+        return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), gate_matrix(g)), np.eye(2 ** q))
+    a, b = g.qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        bit_a, bit_b = i >> a & 1, i >> b & 1
+        if g.kind == GateKind.CX:
+            m[i ^ (bit_a << b), i] = 1
+        elif g.kind == GateKind.CZ:
+            m[i, i] = -1 if bit_a and bit_b else 1
+        else:
+            m[i ^ ((bit_a ^ bit_b) << a) ^ ((bit_a ^ bit_b) << b), i] = 1
+    return m
+
+
+def test_unitary_of_matches_kron_products():
+    rng = np.random.default_rng(23)
+    for n in (3, 4):
+        for _ in range(10):
+            gates = []
+            for kind in GateKind:       # every kind at least once, in random order
+                qubits = tuple(int(q) for q in rng.choice(n, size=kind.n_qubits, replace=False))
+                angle = Angle(int(rng.integers(-63, 65)), 64) if kind.takes_angle else None
+                gates.append(Gate(kind, qubits, angle))
+            c = Circuit(n, tuple(gates[k] for k in rng.permutation(len(gates))))
+            expect = np.eye(2 ** n)
+            for g in c.gates:
+                expect = _kron_matrix(g, n) @ expect
+            assert np.allclose(unitary_of(c), expect, atol=1e-12)
+            k = int(rng.integers(2 ** n))
+            assert np.allclose(apply(c, StateVector.basis(n, k)).amplitudes,
+                               expect[:, k], atol=1e-12)
 
 
 def test_unitarity_and_inverse():
@@ -123,6 +160,10 @@ def test_boolean_action():
     assert boolean_action(Circuit(2, ()), 1) == TruthTable(1, (False, False))
     with pytest.raises(ValueError, match="not a Boolean operator"):
         boolean_action(Circuit(2, (h(1),)), 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_SIM_QUBITS} qubits"):
+        boolean_action(Circuit(MAX_SIM_QUBITS + 1, ()), MAX_SIM_QUBITS)
+    assert boolean_action(Circuit(MAX_SIM_QUBITS, ()), MAX_SIM_QUBITS - 1).outputs == \
+        (False,) * 2 ** (MAX_SIM_QUBITS - 1)
     assert TruthTable(1, (False, True)).complement() == TruthTable(1, (True, False))
 
 

@@ -1,8 +1,11 @@
 """Theta selection: frozen solutions, solver ordering, and the phase-system oracle."""
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochsynth.angles import PI, ZERO, Angle
 from blochsynth.ir import GateKind
@@ -292,3 +295,122 @@ def test_cv_matches_reference_unitary():
 def test_synth_result_notes_mention_the_construction():
     assert "AND core" in synth_detailed("fredkin", 3).notes[0]
     assert "Miller" in synth_detailed("miller", 4).notes[0]
+
+
+def _units(angle):
+    return angle.num * 64 // angle.den
+
+
+def enumerate_solve(template, targets, widen=False):
+    """Reference solver: brute-force enumeration, then the transform fallback.
+
+    Every narrowed candidate assignment is tried in order (slot 1 cycling
+    fastest over the descending candidates, AX2 = 0 before pi).  When none
+    solves the system, each AX2 branch is inverted through the character
+    transform and accepted if it checks and, unless widened, stays in the
+    candidates or zero.
+    """
+    cands = narrow_gate_set(template.n_cnots).candidates
+    axes = (ZERO, PI) if template.n_qubits >= 3 else (ZERO,)
+    masks = slot_masks(template)
+    signs = [[-1 if bin(x & m).count("1") % 2 else 1 for m in masks]
+             for x in range(len(targets))]
+    want = [_units(t) for t in targets]
+    by_units = {_units(c): c for c in cands}
+    for digits in itertools.product(by_units, repeat=template.n_thetas):
+        units = digits[::-1]                # product cycles its last slot fastest
+        for ax in axes:
+            # Row 0 has every sign +1: a cheap filter before the full check.
+            if (sum(units) + _units(ax) - want[0]) % 128 == 0 and all(
+                    (sum(s * u for s, u in zip(row, units)) + _units(ax) - w) % 128 == 0
+                    for row, w in zip(signs, want)):
+                return tuple(by_units[u] for u in units), ax
+    for ax in axes:
+        rhs = [(w - _units(ax)) % 128 for w in want]
+        rhs = [r - 128 if r > 64 else r for r in rhs]
+        sums = [sum(row[j] * r for row, r in zip(signs, rhs)) for j in range(len(masks))]
+        if any(total % len(targets) for total in sums):
+            continue
+        thetas = tuple(Angle(total // len(targets), 64) for total in sums)
+        if theta_system_holds(template, thetas, ax, targets) and (
+                widen or all(t in cands or t.is_zero() for t in thetas)):
+            return thetas, ax
+    raise UnsatisfiableError("no solution")
+
+
+def _assert_matches_reference(template, targets):
+    for widen in (False, True):
+        try:
+            expected = enumerate_solve(template, targets, widen)
+        except UnsatisfiableError:
+            with pytest.raises(UnsatisfiableError):
+                solve_phase_system(template, targets, widen)
+            continue
+        assert solve_phase_system(template, targets, widen) == expected, (targets, widen)
+
+
+def _phases(template, thetas, ax):
+    masks = slot_masks(template)
+    targets = []
+    for x in range(2 ** (template.n_qubits - 1)):
+        total = ax
+        for theta, mask in zip(thetas, masks):
+            total = total + (-theta if bin(x & mask).count("1") % 2 else theta)
+        targets.append(total)
+    return tuple(targets)
+
+
+def test_solver_matches_the_enumeration_on_every_small_table():
+    for n in (2, 3, 4):
+        template = make_template(n)
+        for bits in itertools.product((ZERO, PI), repeat=2 ** (n - 1)):
+            _assert_matches_reference(template, bits)
+
+
+def test_solver_matches_the_enumeration_on_cv_targets():
+    for n in (2, 4):
+        rows = 2 ** (n - 1)
+        for tau in (Angle(1, 2), Angle(-1, 2)):
+            targets = tuple(tau if x == rows - 1 else ZERO for x in range(rows))
+            _assert_matches_reference(make_template(n), targets)
+
+
+def test_solver_matches_the_enumeration_on_candidate_assignments():
+    rng = random.Random(3)
+    for n, count in ((2, 40), (3, 40), (4, 30), (5, 4)):
+        template = make_template(n)
+        cands = narrow_gate_set(template.n_cnots).candidates
+        for k in range(count):
+            pool = cands + ((ZERO,) if k % 2 else ())
+            thetas = [rng.choice(pool) for _ in range(template.n_thetas)]
+            ax = rng.choice((ZERO, PI)) if n >= 3 else ZERO
+            _assert_matches_reference(template, _phases(template, thetas, ax))
+
+
+def test_lowest_index_decides_between_two_narrow_branches():
+    # Both AX2 branches solve this inside {T, T†}; (T, T, T†, T) with AX2 = pi
+    # has the lower enumeration index.
+    template = make_template(3)
+    targets = (-S, S, -S, -S)
+    assert solve_phase_system(template, targets) == ((T, T, TD, T), PI)
+    assert enumerate_solve(template, targets) == ((T, T, TD, T), PI)
+
+
+def test_widen_still_prefers_the_narrowed_solution():
+    # NAND-3 also has a widened AX2 = 0 solution; the narrowed one wins.
+    template = make_template(3)
+    assert solve_phase_system(template, (PI, PI, PI, ZERO), widen=True) == \
+        ((TD, T, TD, T), PI)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.booleans(), min_size=16, max_size=16))
+def test_random_five_qubit_tables_satisfy_all_three_oracles(outputs):
+    result = synth_table(tuple(outputs))
+    targets = tuple(PI if out else ZERO for out in outputs)
+    assignment = result.assignment
+    assert theta_system_holds(result.template, assignment.thetas,
+                              assignment.ax2.phase, targets)
+    for x, want in enumerate(targets):
+        assert trace(result.circuit, x, result.template.target_wire).final_phase == want
+    assert boolean_action(result.circuit, 4) == BooleanSpec(4, tuple(outputs)).truth_table()
