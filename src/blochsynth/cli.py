@@ -137,7 +137,11 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_map(text: str) -> Mapping:
-    return Mapping(tuple(int(p) for p in text.split(",")))
+    try:
+        ids = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--map expects comma-separated qubit ids, got {text!r}") from None
+    return Mapping(ids)
 
 
 def _format_weights(weights) -> str:

@@ -41,18 +41,17 @@ class GateKind(Enum):
     CZ = "cz"
     SWAP = "swap"
 
-    @property
-    def n_qubits(self) -> int:
-        return 2 if self in (GateKind.CX, GateKind.CZ, GateKind.SWAP) else 1
+    # Plain per-member values, set once below: every Gate check reads them.
+    n_qubits: int
+    takes_angle: bool
+    is_symmetric: bool   # a two-qubit kind invariant under qubit exchange
 
-    @property
-    def takes_angle(self) -> bool:
-        return self in (GateKind.RZ, GateKind.RX)
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True for two-qubit kinds invariant under qubit exchange."""
-        return self in (GateKind.CZ, GateKind.SWAP)
+for _kind in GateKind:
+    _kind.n_qubits = 2 if _kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP) else 1
+    _kind.takes_angle = _kind in (GateKind.RZ, GateKind.RX)
+    _kind.is_symmetric = _kind in (GateKind.CZ, GateKind.SWAP)
+del _kind
 
 
 # Adjoint pairs; everything else is self-adjoint or handled by angle negation.

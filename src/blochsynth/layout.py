@@ -175,8 +175,8 @@ def emit_layout(layout: Layout, header: tuple[str, ...] = ()) -> str:
 
 def find_chain(layout: Layout, n: int) -> Mapping:
     """Map n wires onto the lexicographically smallest simple n-path."""
-    if not 2 <= n <= 5:
-        raise ValueError(f"chain placement supports 2..5 qubits, got {n}")
+    if not 1 <= n <= 5:
+        raise ValueError(f"chain placement supports 1..5 qubits, got {n}")
     for start in sorted(layout.qubits):
         path = _extend_path([start], n, layout)
         if path is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .angles import ZERO, PI_2, Angle
+from .angles import PI_2
 from .ir import (Circuit, Gate, GateKind, DIAGONAL_PHASES,
                  cx, cz, rz, sx, x, z)
 
@@ -89,37 +89,47 @@ _RULES = {
 
 
 def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
-    """Expand gates through the rule table until only basis members remain."""
+    """Expand gates through the rule table until only basis members remain.
+
+    Each distinct gate is expanded once per call; repeats reuse its expansion.
+    """
+    expansions: dict[Gate, tuple[Gate, ...]] = {}
+
+    def expand(g: Gate) -> tuple[Gate, ...]:
+        if g not in expansions:
+            if basis.contains(g):
+                expansions[g] = (g,)
+            else:
+                rule = _RULES.get(g.kind)
+                if rule is None:
+                    raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
+                expansions[g] = tuple(native for sub in rule(g) for native in expand(sub))
+        return expansions[g]
+
     out: list[Gate] = []
-
-    def expand(g: Gate) -> None:
-        if basis.contains(g):
-            out.append(g)
-            return
-        rule = _RULES.get(g.kind)
-        if rule is None:
-            raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
-        for sub in rule(g):
-            expand(sub)
-
     for g in c.gates:
-        expand(g)
+        out.extend(expand(g))
     return Circuit(c.n_qubits, tuple(out))
 
 
 def canonicalize(c: Circuit) -> Circuit:
-    """Merge adjacent same-wire RZs, drop RZ(0)/I; never reorder across gates."""
+    """Merge adjacent same-wire RZs, drop RZ(0)/I; never reorder across gates.
+
+    A lone RZ is kept as the same gate; only a merge builds a new one.
+    """
     out: list[Gate] = []
-    pending: dict[int, Angle] = {}
+    pending: dict[int, Gate] = {}
 
     def flush(q: int) -> None:
-        angle = pending.pop(q, ZERO)
-        if not angle.is_zero():
-            out.append(rz(angle, q))
+        g = pending.pop(q, None)
+        if g is not None and not g.angle.is_zero():
+            out.append(g)
 
     for g in c.gates:
         if g.kind == GateKind.RZ:
-            pending[g.qubits[0]] = pending.get(g.qubits[0], ZERO) + g.angle
+            q = g.qubits[0]
+            prior = pending.get(q)
+            pending[q] = g if prior is None else rz(prior.angle + g.angle, q)
         elif g.kind == GateKind.I:
             continue
         else:

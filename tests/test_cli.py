@@ -215,6 +215,16 @@ def test_cost_from_file(capsys, tmp_path):
     assert "deviation" not in out   # file inputs have no reference row
 
 
+@pytest.mark.parametrize("layout", ["star5", "ibm_torino"])
+def test_cost_one_qubit_file_on_a_layout(capsys, tmp_path, layout):
+    path = tmp_path / "one.txt"
+    path.write_text("qubits 1\nh 0\n")
+    rc, out, err = run(capsys, "cost", str(path), "--layout", layout)
+    assert rc == 0 and err == ""
+    assert out == (f"circuit={path}\nlayout={layout}\nmapping=0\n"
+                   "n1=3\nn2=0\nxc=0\nd=3\nweights=1,1,1,1\nwtqc=6\n")
+
+
 def test_cost_usage_errors(capsys):
     rc, _, err = run(capsys, "cost", "--op", "and", "--n", "3",
                      "--layout", "ibm_torino", "--heavy-hex", "6x3")
@@ -246,6 +256,10 @@ def test_cost_usage_errors(capsys):
                            "--layout", "ibm_torino", "--map", ids)
         assert rc == 2 and out == ""
         assert err == f"error: mapping covers {ids.count(',') + 1} wires, circuit has 3\n"
+    rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3",
+                       "--layout", "star5", "--map", "0,x,1")
+    assert rc == 2 and out == ""
+    assert err == "error: --map expects comma-separated qubit ids, got '0,x,1'\n"
 
 
 def test_compare_golden(capsys):

@@ -4,6 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from blochsynth.baselines import naive_synth
+from blochsynth.cli import parse_bundled
 from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport,
                              cost_pipeline, depth, report_deviations, wtqc)
 from blochsynth.ir import Circuit, cx, cz, h
@@ -32,6 +34,42 @@ PIPELINE_GOLDENS = {
     ("fredkin", 3): (32, 5, 0, 31),
     ("fredkin", 4): (52, 9, 0, 55),
     ("miller", 4): (84, 13, 0, 79),
+}
+
+# Frozen pipeline results of every textbook circuit on ibm_torino: these
+# couple controls to each other, so from n = 3 on routing inserts SWAPs (XC)
+# and the depth pays for lowering each of them.
+ROUTED_TEXTBOOK_GOLDENS = {
+    ("toffoli", 2): (6, 1, 0, 7),
+    ("toffoli", 3): (37, 6, 1, 53),
+    ("toffoli", 4): (180, 34, 29, 455),
+    ("toffoli", 5): (504, 98, 106, 1348),
+    ("and", 2): (6, 1, 0, 7),
+    ("and", 3): (37, 6, 1, 53),
+    ("and", 4): (180, 34, 29, 455),
+    ("and", 5): (504, 98, 106, 1348),
+    ("nand", 2): (7, 1, 0, 8),
+    ("nand", 3): (38, 6, 1, 53),
+    ("nand", 4): (181, 34, 29, 455),
+    ("nand", 5): (505, 98, 106, 1348),
+    ("or", 2): (9, 1, 0, 8),
+    ("or", 3): (42, 6, 1, 54),
+    ("or", 4): (187, 34, 29, 457),
+    ("or", 5): (513, 98, 106, 1350),
+    ("nor", 2): (8, 1, 0, 7),
+    ("nor", 3): (41, 6, 1, 54),
+    ("nor", 4): (186, 34, 29, 457),
+    ("nor", 5): (512, 98, 106, 1350),
+    ("implication", 3): (40, 6, 1, 54),
+    ("inhibition", 3): (39, 6, 1, 54),
+    ("cv", 2): (16, 2, 0, 17),
+    ("cv", 4): (180, 34, 29, 455),
+    ("cvdg", 2): (16, 2, 0, 17),
+    ("cvdg", 4): (180, 34, 29, 455),
+    ("fredkin", 3): (48, 8, 2, 73),
+    ("fredkin", 4): (190, 36, 31, 479),
+    ("miller", 3): (110, 18, 7, 186),
+    ("miller", 4): (110, 18, 7, 186),
 }
 
 
@@ -91,6 +129,17 @@ def test_pipeline_goldens(key):
     assert report.counts == PIPELINE_GOLDENS[key]
     assert report.xc == 0
     assert report.wtqc == float(sum(PIPELINE_GOLDENS[key]))
+
+
+def test_routed_textbook_goldens_cover_every_operator():
+    assert set(ROUTED_TEXTBOOK_GOLDENS) == {
+        (kind, n) for kind, sizes in OPERATOR_RANGES.items() for n in sizes}
+
+
+@pytest.mark.parametrize("key", sorted(ROUTED_TEXTBOOK_GOLDENS))
+def test_routed_textbook_goldens(key):
+    report = cost_pipeline(naive_synth(*key), parse_bundled("ibm_torino"))
+    assert report.counts == ROUTED_TEXTBOOK_GOLDENS[key]
 
 
 def test_pipeline_star_placement_mapping():

@@ -16,6 +16,13 @@ def test_kind_arity_and_angle_flags():
     assert not GateKind.T.takes_angle
     assert GateKind.CZ.is_symmetric and GateKind.SWAP.is_symmetric
     assert not GateKind.CX.is_symmetric
+    # (n_qubits, takes_angle, is_symmetric) of every member
+    expected = {kind: (1, False, False) for kind in GateKind}
+    expected.update({GateKind.RZ: (1, True, False), GateKind.RX: (1, True, False),
+                     GateKind.CX: (2, False, False), GateKind.CZ: (2, False, True),
+                     GateKind.SWAP: (2, False, True)})
+    assert {kind: (kind.n_qubits, kind.takes_angle, kind.is_symmetric)
+            for kind in GateKind} == expected
 
 
 def test_gate_validation():

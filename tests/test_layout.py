@@ -142,6 +142,17 @@ def test_find_chain_on_torino():
         assert find_chain(lay, n).physical == tuple(range(n))
 
 
+def test_find_placement_one_qubit():
+    # one wire needs no edge: it goes to the lowest layout id
+    one = Circuit(1, (h(0),))
+    assert find_placement(heavy_hex(6, 3), one).physical == (0,)
+    assert find_placement(load_layout_star(), one).physical == (0,)
+    assert find_placement(make_layout("far", [(9, 7), (7, 3)]), one).physical == (3,)
+    assert find_chain(path_layout(3), 1).physical == (0,)
+    with pytest.raises(ValueError, match="supports 1..5 qubits, got 0"):
+        find_chain(path_layout(3), 0)
+
+
 def test_find_placement_chain_branch():
     lay = heavy_hex(6, 3)
     assert find_placement(lay, synth("and", 3)).physical == (0, 1, 2)

@@ -1,10 +1,11 @@
 """Native-basis rewriting: rule goldens, canonicalization laws, equivalence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochsynth.angles import PI, PI_2, ZERO, Angle
 from blochsynth.ir import (CLIFFORD_T, Circuit, Gate, GateKind, cx, cz, h, i,
-                           rz, s, swap, sx, t, x, y)
+                           rz, s, swap, sx, t, x, y, z)
 from blochsynth.simulator import equiv_up_to_global_phase, unitary_of
 from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
                                   count_gates, load_basis, parse_basis,
@@ -139,3 +140,107 @@ def test_load_basis_round_trip(tmp_path):
     basis = load_basis(path)
     assert basis.name == "native"
     assert GateKind.X in basis.single_qubit
+
+
+# A plain reference lowering: the rule table written out again, expanded
+# recursively with no memo, then canonicalized by summing Angles per wire and
+# building every RZ anew.
+REFERENCE_RULES = {
+    GateKind.I: lambda q: (),
+    GateKind.H: lambda q: (rz(PI_2, q[0]), sx(q[0]), rz(PI_2, q[0])),
+    GateKind.Z: lambda q: (rz(PI, q[0]),),
+    GateKind.S: lambda q: (rz(PI_2, q[0]),),
+    GateKind.SDG: lambda q: (rz(-PI_2, q[0]),),
+    GateKind.T: lambda q: (rz(Angle(1, 4), q[0]),),
+    GateKind.TDG: lambda q: (rz(Angle(-1, 4), q[0]),),
+    GateKind.Y: lambda q: (z(q[0]), x(q[0])),
+    GateKind.SXDG: lambda q: (z(q[0]), sx(q[0]), z(q[0])),
+    GateKind.CX: lambda q: (h(q[1]), cz(*q), h(q[1])),
+    GateKind.SWAP: lambda q: (cx(*q), cx(q[1], q[0]), cx(*q)),
+}
+
+
+def reference_lowering(c, basis):
+    lowered = []
+
+    def expand(g):
+        if basis.contains(g):
+            lowered.append(g)
+        elif g.kind in REFERENCE_RULES:
+            for sub in REFERENCE_RULES[g.kind](g.qubits):
+                expand(sub)
+        else:
+            raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
+
+    for g in c.gates:
+        expand(g)
+    out, pending = [], {}
+
+    def flush(q):
+        angle = pending.pop(q, ZERO)
+        if not angle.is_zero():
+            out.append(rz(angle, q))
+
+    for g in lowered:
+        if g.kind == GateKind.RZ:
+            pending[g.qubits[0]] = pending.get(g.qubits[0], ZERO) + g.angle
+        elif g.kind != GateKind.I:
+            for q in sorted(g.qubits):
+                flush(q)
+            out.append(g)
+    for q in sorted(pending):
+        flush(q)
+    return tuple(out)
+
+
+def lowering_outcome(lower, c, basis):
+    """The lowered gates, or the error message when a gate has no rule."""
+    try:
+        return lower(c, basis)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def repetitive_circuits(draw, kinds):
+    """A 3-qubit circuit drawn from a pool of at most six distinct gates."""
+    def gate(kind):
+        qubits = draw(st.lists(st.integers(0, 2), min_size=kind.n_qubits,
+                               max_size=kind.n_qubits, unique=True))
+        angle = Angle(draw(st.integers(-8, 8)), 8) if kind.takes_angle else None
+        return Gate(kind, tuple(qubits), angle)
+
+    pool = [gate(draw(st.sampled_from(kinds)))
+            for _ in range(draw(st.integers(1, 6)))]
+    return Circuit(3, tuple(draw(st.lists(st.sampled_from(pool), max_size=60))))
+
+
+H_RZ_CX = NativeBasis("h-rz-cx", frozenset({GateKind.H, GateKind.RZ}),
+                      frozenset({GateKind.CX}))
+# The kinds that have a rule path into H_RZ_CX.
+INTO_H_RZ_CX = (GateKind.I, GateKind.H, GateKind.Z, GateKind.S, GateKind.SDG,
+                GateKind.T, GateKind.TDG, GateKind.RZ, GateKind.CX, GateKind.SWAP)
+
+
+@pytest.mark.parametrize("basis, kinds", [
+    (DEFAULT_BASIS, tuple(GateKind)),
+    (H_RZ_CX, INTO_H_RZ_CX),
+    (H_RZ_CX, tuple(GateKind)),   # mostly "no rewrite rule" errors
+], ids=["default", "h-rz-cx", "h-rz-cx-all-kinds"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lowering_matches_the_reference(basis, kinds, data):
+    c = data.draw(repetitive_circuits(kinds))
+    ours = lowering_outcome(
+        lambda c, basis: canonicalize(rewrite_to_basis(c, basis)).gates, c, basis)
+    assert ours == lowering_outcome(reference_lowering, c, basis)
+
+
+def test_repeated_gates_reuse_one_expansion():
+    lowered = rewrite_to_basis(Circuit(2, (cx(0, 1), h(0), cx(0, 1)))).gates
+    # the second CX (after the three gates of H) is the first one's gates
+    assert len(lowered) == 17
+    assert all(a is b for a, b in zip(lowered[:7], lowered[10:]))
+    # a lone RZ passes through canonicalize as the same gate
+    lone = rz(Angle(1, 8), 1)
+    assert canonicalize(Circuit(2, (lone, cz(0, 1)))).gates[0] is lone
