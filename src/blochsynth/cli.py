@@ -130,10 +130,13 @@ def parse_bundled(name: str) -> Layout:
 
 
 def _parse_weights(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
+    try:
+        weights = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        weights = ()
+    if len(weights) != 4:
         raise ValueError(f"--weights expects four numbers, got {text!r}")
-    return check_weights(tuple(float(p) for p in parts))
+    return check_weights(weights)
 
 
 def _parse_map(text: str) -> Mapping:
@@ -204,9 +207,9 @@ def _cmd_cost(args) -> int:
         circuit, kind = result.circuit, result.kind
         lines += [f"op={kind}", f"n={result.n_qubits}"]
     layout = _resolve_layout(args)
-    if args.map and layout is None:
+    if args.map is not None and layout is None:
         raise ValueError("--map needs --layout or --heavy-hex")
-    mapping = _parse_map(args.map) if args.map else None
+    mapping = _parse_map(args.map) if args.map is not None else None
     basis = load_basis(args.basis) if args.basis else DEFAULT_BASIS
     report = cost_pipeline(circuit, layout, mapping,
                            weights=_parse_weights(args.weights),

@@ -5,7 +5,8 @@ The pipeline fixes one auditable accounting order: lower to the native
 basis, canonicalize, count N1/N2, place and route (XC = inserted SWAPs,
 excluded from N2), then decompose the inserted SWAPs and re-canonicalize
 before measuring depth, so D includes the routing overhead while N2 does
-not double-count it.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
+not double-count it.  A route without SWAPs only relabels the native
+circuit, so its D is the native depth.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
 """
 from __future__ import annotations
 
@@ -98,9 +99,9 @@ def cost_pipeline(c: Circuit, layout: Layout | None = None,
     if mapping is None:
         mapping = find_placement(layout, native)
     routed, swaps = route(native, layout, mapping)
-    timed = canonicalize(rewrite_to_basis(routed, basis))
+    d = depth(canonicalize(rewrite_to_basis(routed, basis))) if swaps else depth(native)
     xc = 3 * swaps if xc_mode == "cnots" else swaps
-    return CostReport(n1, n2, xc, depth(timed), weights, mapping)
+    return CostReport(n1, n2, xc, d, weights, mapping)
 
 
 def report_deviations(kind: str, n: int, report: CostReport) -> tuple[str, ...]:

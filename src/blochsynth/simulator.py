@@ -75,7 +75,11 @@ class StateVector:
 
 
 def _evolve(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """Apply every gate of c to each column of a (2^n, k) block; returns a new block."""
+    """Apply every gate of c to each column of a (2^n, k) block; returns a new block.
+
+    A one-qubit gate updates the slices a, b (its qubit = 0, 1) in place: a diagonal
+    gate scales those whose entry is not 1, others set (a, b) <- (m00 a + m01 b, m10 a + m11 b).
+    """
     n = c.n_qubits
     # Qubit q = bit q of the row index = axis n-1-q of the C-order tensor;
     # the last axis runs over the k columns.
@@ -83,8 +87,14 @@ def _evolve(c: Circuit, block: np.ndarray) -> np.ndarray:
     for g in c.gates:
         axes = [n - 1 - q for q in g.qubits]
         if g.kind.n_qubits == 1:
-            state = np.tensordot(gate_matrix(g), state, axes=([1], axes))
-            state = np.moveaxis(state, 0, axes[0])
+            a, b = (state[(slice(None),) * axes[0] + (bit,)] for bit in (0, 1))
+            (m00, m01), (m10, m11) = gate_matrix(g).tolist()
+            if m01 or m10:
+                a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
+            else:
+                for part, entry in ((a, m00), (b, m11)):
+                    if entry != 1:
+                        part *= entry
             continue
 
         def sel(v0, v1):

@@ -9,13 +9,15 @@ so designing a gate means solving this linear system mod 2pi against the
 target phases (pi * f(x) for Boolean operators, +-pi/2 * f(x) for CV/CV†).
 Because the slot masks enumerate the full character group, the character
 (Walsh) transform of the target phases solves it in closed form, once per
-AX2 choice.  Between the two branches the solver prefers a solution that
-lies wholly in the narrowed candidate set, and among those the one that
-comes first in a fixed order (slot 1 cycling fastest over the descending
-candidates); otherwise it takes the first branch (AX2 = 0, then pi) whose
-thetas stay in the candidates or zero, or are any dyadic angle when widened.
+AX2 choice: theta_j is entry mask_j of the fast Walsh-Hadamard transform
+of the targets, and a second transform checks the solution.  Between the
+two branches the solver prefers a solution that lies wholly in the narrowed
+candidate set, and among those the one that comes first in a fixed order
+(slot 1 cycling fastest over the descending candidates); otherwise it takes
+the first branch (AX2 = 0, then pi) whose thetas stay in the candidates or
+zero, or are any dyadic angle when widened.
 
-All arithmetic runs in integer units of pi/64 (mod 128): exact, no floats.
+All arithmetic runs on ints in units of pi/64 (mod 128): no floats, no matrix.
 """
 from __future__ import annotations
 
@@ -127,12 +129,15 @@ def _units(a: Angle) -> int:
     return a.num * (_UNIT_DEN // a.den)
 
 
-def _sign_matrix(masks: tuple[int, ...], n_rows: int) -> np.ndarray:
-    s = np.empty((n_rows, len(masks)), dtype=np.int64)
-    for x in range(n_rows):
-        for j, mask in enumerate(masks):
-            s[x, j] = -1 if bin(x & mask).count("1") % 2 else 1
-    return s
+def _walsh(v: list[int]) -> list[int]:
+    """In-place unnormalised fast Walsh-Hadamard transform: v[k] <- sum_x (-1)^|x & k| v[x]."""
+    h = 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            for j in range(i, i + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
 
 
 def solve_phase_system(template: Template, targets: tuple[Angle, ...],
@@ -151,34 +156,35 @@ def solve_phase_system(template: Template, targets: tuple[Angle, ...],
     n_rows = 2 ** (template.n_qubits - 1)
     if len(targets) != n_rows:
         raise ValueError(f"need {n_rows} target phases")
-    sign = _sign_matrix(masks, n_rows)
-    target_units = np.array([_units(a) for a in targets], dtype=np.int64) % _MOD
+    want = [_units(a) % _MOD for a in targets]
     cands = narrow_gate_set(template.n_cnots).candidates
+    digit = {_units(c) % _MOD: i for i, c in enumerate(cands)}
 
     solutions = []
     for ax_units in (0, _UNIT_DEN) if template.n_qubits >= 3 else (0,):
-        # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2).
-        rhs = (target_units - ax_units) % _MOD
-        rhs = np.where(rhs > _UNIT_DEN, rhs - _MOD, rhs)       # representative in (-pi, pi]
-        numer = sign.T @ rhs
-        if np.any(numer % n_rows):
+        # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2),
+        # each target_x - ax2 taken in (-pi, pi].
+        numer = _walsh([_UNIT_DEN - (_UNIT_DEN + ax_units - w) % _MOD for w in want])
+        if any(numer[mask] % n_rows for mask in masks):
             continue
-        units = numer // n_rows
-        if np.array_equal((sign @ units + ax_units) % _MOD, target_units):
-            solutions.append((tuple(Angle(int(u), _UNIT_DEN) for u in units),
-                              Angle(ax_units, _UNIT_DEN)))
+        units = [numer[mask] // n_rows for mask in masks]
+        # Exact back-check: the transform of the per-mask sums is sign @ units.
+        coeffs = [0] * n_rows
+        for mask, u in zip(masks, units):
+            coeffs[mask] += u
+        if all((total + ax_units) % _MOD == w for total, w in zip(_walsh(coeffs), want)):
+            solutions.append(([u % _MOD for u in units], ax_units))
 
     # Enumeration index of an all-candidate solution: slot 1 cycles fastest
     # over the descending candidates.
-    narrow = {sum(cands.index(t) * len(cands) ** j for j, t in enumerate(thetas)):
-              (thetas, ax2) for thetas, ax2 in solutions if set(thetas) <= set(cands)}
-    if narrow:
-        return narrow[min(narrow)]
-    for thetas, ax2 in solutions:
-        if widen or set(thetas) <= set(cands) | {ZERO}:
-            return thetas, ax2
-    raise UnsatisfiableError(
-        f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
+    narrow = {sum(digit[u] * len(cands) ** j for j, u in enumerate(units)): (units, ax_units)
+              for units, ax_units in solutions if all(u in digit for u in units)}
+    allowed = [s for s in solutions if widen or all(u in digit or u == 0 for u in s[0])]
+    if not narrow and not allowed:
+        raise UnsatisfiableError(
+            f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
+    units, ax_units = narrow[min(narrow)] if narrow else allowed[0]
+    return tuple(Angle(u, _UNIT_DEN) for u in units), Angle(ax_units, _UNIT_DEN)
 
 
 def theta_system_holds(template: Template, thetas: tuple[Angle, ...],

@@ -244,6 +244,11 @@ def test_cost_usage_errors(capsys):
                            f"--weights={weights}")
         assert rc == 2 and out == ""
         assert err == "error: weights must be finite and non-negative\n"
+    for command in ("cost", "compare"):
+        rc, out, err = run(capsys, command, "--op", "and", "--n", "3",
+                           "--weights", "1,x,1,1")
+        assert rc == 2 and out == ""
+        assert err == "error: --weights expects four numbers, got '1,x,1,1'\n"
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--op", "and", "--n", "3", "--map", "0,1,2"])
     assert exc.value.code == 2
@@ -260,6 +265,13 @@ def test_cost_usage_errors(capsys):
                        "--layout", "star5", "--map", "0,x,1")
     assert rc == 2 and out == ""
     assert err == "error: --map expects comma-separated qubit ids, got '0,x,1'\n"
+    rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3",
+                       "--layout", "star5", "--map", "")
+    assert rc == 2 and out == ""
+    assert err == "error: --map expects comma-separated qubit ids, got ''\n"
+    rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3", "--map", "")
+    assert rc == 2 and out == ""
+    assert err == "error: --map needs --layout or --heavy-hex\n"
 
 
 def test_compare_golden(capsys):

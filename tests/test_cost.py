@@ -1,15 +1,21 @@
 """Depth, WTQC, the costing pipeline, and reference-row comparisons."""
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochsynth.baselines import naive_synth
 from blochsynth.cli import parse_bundled
 from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport,
                              cost_pipeline, depth, report_deviations, wtqc)
-from blochsynth.ir import Circuit, cx, cz, h
-from blochsynth.layout import (Mapping, heavy_hex, make_layout, parse_layout)
+from blochsynth.angles import Angle
+from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h
+from blochsynth.layout import (Mapping, find_placement, heavy_hex, make_layout,
+                               parse_layout, route)
+from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
+                                  rewrite_to_basis)
 from blochsynth.synthesis import OPERATOR_RANGES, synth
 
 from conftest import random_circuit
@@ -193,3 +199,60 @@ def test_bundled_star_matches_the_local_one():
     data = resources.files("blochsynth") / "data"
     star = parse_layout((data / "star5.layout").read_text(), "star5")
     assert star.edges == STAR5.edges
+
+
+def _timed_depth(c, layout, mapping=None, basis=DEFAULT_BASIS):
+    """Depth as the pipeline measured it by re-lowering every routed circuit."""
+    native = canonicalize(rewrite_to_basis(c, basis))
+    if mapping is None:
+        mapping = find_placement(layout, native)
+    routed, swaps = route(native, layout, mapping)
+    return depth(canonicalize(rewrite_to_basis(routed, basis))), swaps
+
+
+def test_pipeline_depth_matches_relowering_the_routed_circuit():
+    seen = {True: 0, False: 0}
+    for layout in (STAR5, parse_bundled("ibm_torino")):
+        for kind, sizes in OPERATOR_RANGES.items():
+            for n in sizes:
+                for c in (synth(kind, n), naive_synth(kind, n)):
+                    try:
+                        want, swaps = _timed_depth(c, layout)
+                    except ValueError as exc:
+                        # textbook circuits at n >= 4 do not place on the star
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            cost_pipeline(c, layout)
+                        continue
+                    assert cost_pipeline(c, layout).d == want, (layout.name, kind, n)
+                    seen[swaps == 0] += 1
+    assert seen[True] >= 30 and seen[False] >= 20
+
+
+_H_RZ_CX = NativeBasis("h-rz-cx", frozenset({GateKind.H, GateKind.RZ}),
+                       frozenset({GateKind.CX}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pipeline_depth_matches_relowering_on_random_native_circuits(data):
+    # Adjacent-only two-qubit gates on a path route without SWAPs under the
+    # identity mapping; a shuffled mapping usually needs some.
+    basis = data.draw(st.sampled_from((DEFAULT_BASIS, _H_RZ_CX)))
+    n = data.draw(st.integers(2, 5))
+    path = make_layout(f"path{n}", [(q, q + 1) for q in range(n - 1)])
+    single = sorted(basis.single_qubit, key=lambda k: k.value)
+    (two,) = basis.two_qubit
+    gates = []
+    for _ in range(data.draw(st.integers(0, 30))):
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(0, n - 2))
+            gates.append(Gate(two, (q, q + 1) if data.draw(st.booleans()) else (q + 1, q)))
+        else:
+            kind = data.draw(st.sampled_from(single))
+            angle = Angle(data.draw(st.integers(-3, 4)), 4) if kind.takes_angle else None
+            gates.append(Gate(kind, (data.draw(st.integers(0, n - 1)),), angle))
+    c = Circuit(n, tuple(gates))
+    mapping = Mapping(tuple(data.draw(st.permutations(range(n)))))
+    for m in (Mapping(tuple(range(n))), mapping):
+        want, _ = _timed_depth(c, path, m, basis)
+        assert cost_pipeline(c, path, m, basis=basis).d == want

@@ -12,6 +12,7 @@ from blochsynth.simulator import (MAX_SIM_QUBITS, SignedPauli, StateVector, Trut
                                   equiv_up_to_relative_phase, gate_matrix,
                                   permutation_unitary, reference_unitary,
                                   template_wires, unitary_of)
+from blochsynth.synthesis import synth_table
 
 _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 _T = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -86,7 +87,7 @@ def _kron_matrix(g, n):
 
 def test_unitary_of_matches_kron_products():
     rng = np.random.default_rng(23)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for _ in range(10):
             gates = []
             for kind in GateKind:       # every kind at least once, in random order
@@ -101,6 +102,67 @@ def test_unitary_of_matches_kron_products():
             k = int(rng.integers(2 ** n))
             assert np.allclose(apply(c, StateVector.basis(n, k)).amplitudes,
                                expect[:, k], atol=1e-12)
+
+
+def _kron_boolean_action(c, n_controls, tol=1e-9):
+    """The truth table read off the kron-product matrix, or None when not Boolean."""
+    u = np.eye(2 ** c.n_qubits)
+    for g in c.gates:
+        u = _kron_matrix(g, c.n_qubits) @ u
+    controls, target = template_wires(c.n_qubits)
+    outputs = []
+    for row in range(2 ** n_controls):
+        index = sum((row >> i & 1) << w for i, w in enumerate(controls))
+        bits = [bit for bit in (0, 1)
+                if abs(abs(u[index | bit << target, index]) ** 2 - 1) <= tol]
+        if not bits:
+            return None
+        outputs.append(bool(bits[0]))
+    return TruthTable(n_controls, tuple(outputs))
+
+
+# Diagonal kinds whose first entry is 1 (Z, S, T and their inverses), RZ
+# whose first entry is not, and SX, which is not diagonal.
+_MIDDLE_KINDS = (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                 GateKind.RZ, GateKind.SX)
+
+
+def test_boolean_action_matches_kron_products_on_template_shapes():
+    # H on the target, then CNOTs into it interleaved with one-qubit gates on
+    # it, then H: the template's shape.  Circuits whose middle holds only Z
+    # are always Boolean; the rest mostly are not, and must raise.
+    rng = np.random.default_rng(29)
+    seen = {True: 0, False: 0}
+    for n in (2, 3, 4, 5):
+        controls, target = template_wires(n)
+        for k in range(40):
+            kinds = (GateKind.Z,) if k % 4 == 0 else _MIDDLE_KINDS
+            gates = [h(target)]
+            for _ in range(int(rng.integers(1, 3 * n))):
+                if rng.random() < 0.5:
+                    gates.append(cx(int(rng.choice(controls)), target))
+                kind = kinds[rng.integers(len(kinds))]
+                angle = Angle(int(rng.integers(-63, 65)), 64) if kind.takes_angle else None
+                gates.append(Gate(kind, (target,), angle))
+            c = Circuit(n, tuple(gates + [h(target)]))
+            expect = _kron_boolean_action(c, n - 1)
+            seen[expect is not None] += 1
+            if expect is None:
+                with pytest.raises(ValueError, match="not a Boolean operator"):
+                    boolean_action(c, n - 1)
+            else:
+                assert boolean_action(c, n - 1) == expect
+    assert min(seen.values()) >= 20
+
+
+def test_boolean_action_matches_kron_products_on_synthesized_tables():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            outputs = tuple(bool(b) for b in rng.integers(2, size=2 ** (n - 1)))
+            c = synth_table(outputs).circuit
+            assert boolean_action(c, n - 1) == _kron_boolean_action(c, n - 1) == \
+                TruthTable(n - 1, outputs)
 
 
 def test_unitarity_and_inverse():

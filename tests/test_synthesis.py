@@ -1,4 +1,5 @@
 """Theta selection: frozen solutions, solver ordering, and the phase-system oracle."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,12 +16,12 @@ from blochsynth.simulator import (boolean_action, equiv_up_to_relative_phase,
 from blochsynth.synthesis import (Ax2, BooleanSpec, OPERATOR_RANGES,
                                   MILLER_PERMUTATION, NarrowingResult,
                                   SynthVerificationError, ThetaAssignment,
-                                  UnsatisfiableError, fredkin_permutation,
+                                  UnsatisfiableError, _walsh, fredkin_permutation,
                                   miller_permutation, narrow_gate_set,
                                   solve_phase_system, solve_thetas, synth,
                                   synth_detailed, synth_table,
                                   theta_system_holds)
-from blochsynth.templates import make_template, slot_masks
+from blochsynth.templates import Slot, SlotKind, Template, make_template, slot_masks
 from blochsynth.tracker import trace
 
 T, TD, S, SD = Angle(1, 4), Angle(-1, 4), Angle(1, 2), Angle(-1, 2)
@@ -414,3 +415,148 @@ def test_random_five_qubit_tables_satisfy_all_three_oracles(outputs):
     for x, want in enumerate(targets):
         assert trace(result.circuit, x, result.template.target_wire).final_phase == want
     assert boolean_action(result.circuit, 4) == BooleanSpec(4, tuple(outputs)).truth_table()
+
+
+def _sign_matrix(masks, n_rows):
+    s = np.empty((n_rows, len(masks)), dtype=np.int64)
+    for x in range(n_rows):
+        for j, mask in enumerate(masks):
+            s[x, j] = -1 if bin(x & mask).count("1") % 2 else 1
+    return s
+
+
+def sign_matrix_solve(template, targets, widen=False):
+    """Reference solver: the character transform as an explicit sign matrix.
+
+    Same preference as the solver under test: all-candidate solutions by
+    lowest enumeration index, then the first AX2 branch whose thetas are
+    candidates or zero (any dyadic angle when widened).
+    """
+    masks = slot_masks(template)
+    n_rows = 2 ** (template.n_qubits - 1)
+    if len(targets) != n_rows:
+        raise ValueError(f"need {n_rows} target phases")
+    sign = _sign_matrix(masks, n_rows)
+    target_units = np.array([_units(a) for a in targets], dtype=np.int64) % 128
+    cands = narrow_gate_set(template.n_cnots).candidates
+    solutions = []
+    for ax_units in (0, 64) if template.n_qubits >= 3 else (0,):
+        rhs = (target_units - ax_units) % 128
+        rhs = np.where(rhs > 64, rhs - 128, rhs)       # representative in (-pi, pi]
+        numer = sign.T @ rhs
+        if np.any(numer % n_rows):
+            continue
+        units = numer // n_rows
+        if np.array_equal((sign @ units + ax_units) % 128, target_units):
+            solutions.append((tuple(Angle(int(u), 64) for u in units), Angle(ax_units, 64)))
+    narrow = {sum(cands.index(t) * len(cands) ** j for j, t in enumerate(thetas)):
+              (thetas, ax2) for thetas, ax2 in solutions if set(thetas) <= set(cands)}
+    if narrow:
+        return narrow[min(narrow)]
+    for thetas, ax2 in solutions:
+        if widen or set(thetas) <= set(cands) | {ZERO}:
+            return thetas, ax2
+    raise UnsatisfiableError(
+        f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
+
+
+def _outcome(solver, template, targets, widen):
+    try:
+        return solver(template, targets, widen)
+    except UnsatisfiableError as exc:
+        return f"unsat: {exc}"
+
+
+def _assert_matches_sign_matrix(template, targets):
+    for widen in (False, True):
+        assert _outcome(solve_phase_system, template, targets, widen) == \
+            _outcome(sign_matrix_solve, template, targets, widen), (targets, widen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.booleans(), min_size=16, max_size=16))
+def test_solver_matches_the_sign_matrix_on_five_qubit_tables(outputs):
+    _assert_matches_sign_matrix(make_template(5),
+                                tuple(PI if out else ZERO for out in outputs))
+
+
+_DYADIC = st.builds(lambda k, num: Angle(num, 2 ** k), st.integers(0, 6), st.integers(-64, 64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.booleans(),
+    st.lists(_DYADIC, min_size=2 ** (n - 1), max_size=2 ** (n - 1)),
+    st.booleans())))
+def test_solver_matches_the_sign_matrix_on_dyadic_targets(case):
+    # Raw dyadic targets are mostly unsatisfiable; targets generated from
+    # dyadic thetas always have a solution, so both paths are exercised.
+    n, from_thetas, angles, ax_pi = case
+    template = make_template(n)
+    if from_thetas:
+        angles = _phases(template, angles, PI if ax_pi and n >= 3 else ZERO)
+    _assert_matches_sign_matrix(template, tuple(angles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n - 1), min_size=1, max_size=7),
+    st.lists(st.sampled_from((ZERO, PI, Angle(1, 4), Angle(-1, 2))),
+             min_size=2 ** (n - 1), max_size=2 ** (n - 1)))))
+def test_solver_back_check_holds_for_repeated_masks(case):
+    # A schedule that repeats a parity gives repeated slot masks, so the
+    # back-check must sum the thetas that share a mask, as sign @ units does.
+    n, schedule, targets = case
+    slots = [Slot(SlotKind.SP1), Slot(SlotKind.AX1)]
+    for k, control in enumerate(schedule, start=1):
+        slots += [Slot(SlotKind.THETA, k), Slot(SlotKind.CNOT, control)]
+    slots += [Slot(SlotKind.THETA, len(schedule) + 1), Slot(SlotKind.AX2), Slot(SlotKind.SP2)]
+    base = make_template(n)
+    template = Template(n, base.control_wires, base.target_wire, tuple(slots))
+    _assert_matches_sign_matrix(template, tuple(targets))
+
+
+def _solver_digest(widen):
+    """sha256 of solve_phase_system on 512 seeded five-qubit truth tables."""
+    rng = random.Random(512)
+    template = make_template(5)
+    digest = hashlib.sha256()
+    for _ in range(512):
+        bits = rng.getrandbits(16)
+        targets = tuple(PI if bits >> x & 1 else ZERO for x in range(16))
+        try:
+            thetas, ax2 = solve_phase_system(template, targets, widen)
+            line = " ".join(str(t) for t in thetas) + f" | {ax2}"
+        except UnsatisfiableError as exc:
+            line = f"unsat: {exc}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+# Recorded with the sign-matrix solver before the integer transform replaced it.
+SOLVER_DIGESTS = {
+    False: "8a4b1229972f39b0419f379780137de64fa8c6aba7c63f208321494017b71d07",
+    True: "bf466d38008a4946413f0ed43d1311b2047927fea29749cadc8350047bf87f5b",
+}
+
+
+@pytest.mark.parametrize("widen", (False, True))
+def test_solver_digest_on_seeded_five_qubit_tables(widen):
+    assert _solver_digest(widen) == SOLVER_DIGESTS[widen]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.lists(
+    st.integers(-1000, 1000), min_size=2 ** m, max_size=2 ** m)))
+def test_walsh_applied_twice_scales_by_the_length(v):
+    assert _walsh(_walsh(list(v))) == [len(v) * x for x in v]
+
+
+def test_walsh_maps_a_basis_vector_to_its_character_row():
+    for m in range(6):
+        size = 2 ** m
+        for x in range(size):
+            basis = [0] * size
+            basis[x] = 1
+            assert _walsh(basis) == [-1 if bin(x & k).count("1") % 2 else 1
+                                     for k in range(size)]
