@@ -45,9 +45,11 @@ def depth(c: Circuit) -> int:
     """Longest dependency chain; every gate is one time step on its wires."""
     frontier = [0] * c.n_qubits
     for g in c.gates:
-        step = 1 + max(frontier[q] for q in g.qubits)
-        for q in g.qubits:
-            frontier[q] = step
+        if len(g.qubits) == 1:
+            frontier[g.qubits[0]] += 1
+        else:
+            a, b = g.qubits
+            frontier[a] = frontier[b] = 1 + max(frontier[a], frontier[b])
     return max(frontier, default=0)
 
 

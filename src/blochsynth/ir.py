@@ -9,15 +9,18 @@ Contains:
 
 Everything here is an immutable value; circuits are built from the
 module-level constructors (h(0), cx(0, 1), rz(Angle(1, 4), 0), ...) and
-concatenated with `+`.  Z, S, T stay distinct kinds rather than collapsing
-to RZ so that gate-set narrowing can pattern-match on named gates; lowering
-to RZ happens only in the transpile pass.
+concatenated with `+`.  A gate is validated and hashed once, when it is
+built; a circuit range-checks all its gates in one C-level pass.  Z, S, T
+stay distinct kinds rather than collapsing to RZ so that gate-set narrowing
+can pattern-match on named gates; lowering to RZ happens only in the
+transpile pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 from .angles import Angle
 
@@ -45,6 +48,8 @@ class GateKind(Enum):
     n_qubits: int
     takes_angle: bool
     is_symmetric: bool   # a two-qubit kind invariant under qubit exchange
+
+    __hash__ = object.__hash__   # members are singletons: agrees with ==
 
 
 for _kind in GateKind:
@@ -75,23 +80,33 @@ DIAGONAL_NAMES = {GateKind.Z: "Z", GateKind.S: "S", GateKind.SDG: "S†",
                   GateKind.T: "T", GateKind.TDG: "T†"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
     angle: Angle | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.qubits) != self.kind.n_qubits:
-            raise ValueError(f"{self.kind.value} takes {self.kind.n_qubits} qubit(s), got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind.value} requires distinct qubits, got {self.qubits}")
-        if self.kind.takes_angle != (self.angle is not None):
-            raise ValueError(f"{self.kind.value} {'requires' if self.kind.takes_angle else 'does not take'} an angle")
-        if self.kind.is_symmetric and self.qubits[0] > self.qubits[1]:
-            object.__setattr__(self, "qubits", (self.qubits[1], self.qubits[0]))
+        kind, qubits = self.kind, self.qubits
+        if len(qubits) != kind.n_qubits:
+            raise ValueError(f"{kind.value} takes {kind.n_qubits} qubit(s), got {qubits}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"{kind.value} requires distinct qubits, got {qubits}")
+        if kind.takes_angle != (self.angle is not None):
+            raise ValueError(f"{kind.value} {'requires' if kind.takes_angle else 'does not take'} an angle")
+        if kind.is_symmetric and qubits[0] > qubits[1]:
+            qubits = (qubits[1], qubits[0])
+            object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "_hash", hash((kind, qubits, self.angle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):   # rebuild, not restore: the hash is only valid in its own process
+        return Gate, (self.kind, self.qubits, self.angle)
 
     def adjoint(self) -> "Gate":
         """The inverse gate: named adjoint pair, negated angle, or self."""
@@ -111,9 +126,9 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ValueError(f"gate {g.kind.value} {g.qubits} out of range for {self.n_qubits} qubits")
+        if self.gates and max(map(max, map(attrgetter("qubits"), self.gates))) >= self.n_qubits:
+            g = next(g for g in self.gates if max(g.qubits) >= self.n_qubits)
+            raise ValueError(f"gate {g.kind.value} {g.qubits} out of range for {self.n_qubits} qubits")
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.n_qubits != other.n_qubits:
@@ -123,15 +138,8 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, *gates: Gate) -> "Circuit":
-        """New circuit with the given gates appended."""
-        return Circuit(self.n_qubits, self.gates + tuple(gates))
-
     def inverse(self) -> "Circuit":
         return circuit_inverse(self)
-
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind.n_qubits == 2)
 
 
 def circuit_inverse(c: Circuit) -> Circuit:
@@ -165,9 +173,6 @@ class GateSet:
         if g.kind == GateKind.RX:
             return self.rx_any or GateKind.RX in self.kinds
         return g.kind in self.kinds
-
-    def contains_all(self, c: Circuit) -> bool:
-        return all(self.contains(g) for g in c.gates)
 
 
 # The Clifford+T vocabulary (named kinds only; RZ/RX excluded by design).

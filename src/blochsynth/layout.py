@@ -236,7 +236,8 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
 
     Greedy: each non-adjacent two-qubit gate walks its first endpoint along
     the shortest path toward the second, one SWAP per hop; XC is the number
-    of SWAPs inserted, which stay SWAP-kind in the returned circuit.
+    of SWAPs inserted, which stay SWAP-kind in the returned circuit.  Each
+    distinct (gate, physical wires) pair is relabelled once per call.
     """
     if mapping.n_qubits != c.n_qubits:
         raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
@@ -245,21 +246,27 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
             raise ValueError(f"mapped qubit {p} not in {layout.name}")
     pos = dict(enumerate(mapping.physical))
     loc = {p: w for w, p in pos.items()}
+    relabelled: dict[tuple[Gate, tuple[int, ...]], Gate] = {}
     out: list[Gate] = []
     xc = 0
     for g in c.gates:
         if len(g.qubits) == 1:
-            out.append(Gate(g.kind, (pos[g.qubits[0]],), g.angle))
-            continue
-        a, b = g.qubits
-        while not layout.adjacent(pos[a], pos[b]):
-            hop = layout.shortest_path(pos[a], pos[b])[1]
-            out.append(swap(pos[a], hop))
-            xc += 1
-            other = loc.get(hop)
-            loc[pos[a]] = other
-            if other is not None:
-                pos[other] = pos[a]
-            pos[a], loc[hop] = hop, a
-        out.append(Gate(g.kind, (pos[a], pos[b]), g.angle))
+            wires = (pos[g.qubits[0]],)
+        else:
+            a, b = g.qubits
+            while not layout.adjacent(pos[a], pos[b]):
+                hop = layout.shortest_path(pos[a], pos[b])[1]
+                out.append(swap(pos[a], hop))
+                xc += 1
+                other = loc.get(hop)
+                loc[pos[a]] = other
+                if other is not None:
+                    pos[other] = pos[a]
+                pos[a], loc[hop] = hop, a
+            wires = (pos[a], pos[b])
+        key = (g, wires)
+        new = relabelled.get(key)
+        if new is None:
+            new = relabelled[key] = Gate(g.kind, wires, g.angle)
+        out.append(new)
     return Circuit(max(layout.qubits) + 1, tuple(out)), xc

@@ -13,6 +13,7 @@ symmetric templates exploit for Fredkin/Miller/CV constructions).
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
@@ -38,18 +39,25 @@ _MATS_1Q = {
 }
 
 
+_ENTRIES_1Q = {kind: tuple(m.reshape(-1).tolist()) for kind, m in _MATS_1Q.items()}
+
+
+def _entries(g: Gate) -> tuple[complex, complex, complex, complex]:
+    """A one-qubit gate's matrix as its row-major entries (m00, m01, m10, m11)."""
+    if g.kind in _ENTRIES_1Q:
+        return _ENTRIES_1Q[g.kind]
+    if not g.kind.takes_angle:
+        raise ValueError(f"no dense matrix for {g.kind.value}")
+    half = float(g.angle) / 2
+    if g.kind is GateKind.RZ:
+        return (cmath.exp(-1j * half), 0j, 0j, cmath.exp(1j * half))
+    on, off = complex(cos(half)), -1j * sin(half)   # RX
+    return (on, off, off, on)
+
+
 def gate_matrix(g: Gate) -> np.ndarray:
-    """The 2x2 or 4x4 unitary of a single gate (two-qubit: qubit order as given, LSB first)."""
-    if g.kind in _MATS_1Q:
-        return _MATS_1Q[g.kind]
-    if g.kind == GateKind.RZ:
-        th = float(g.angle)
-        return np.array([[np.exp(-1j * th / 2), 0], [0, np.exp(1j * th / 2)]], dtype=complex)
-    if g.kind == GateKind.RX:
-        th = float(g.angle)
-        return np.array([[cos(th / 2), -1j * sin(th / 2)],
-                         [-1j * sin(th / 2), cos(th / 2)]], dtype=complex)
-    raise ValueError(f"no dense matrix for {g.kind.value}")
+    """The 2x2 unitary of a one-qubit gate."""
+    return np.array(_entries(g), dtype=complex).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ def _evolve(c: Circuit, block: np.ndarray) -> np.ndarray:
         axes = [n - 1 - q for q in g.qubits]
         if g.kind.n_qubits == 1:
             a, b = (state[(slice(None),) * axes[0] + (bit,)] for bit in (0, 1))
-            (m00, m01), (m10, m11) = gate_matrix(g).tolist()
+            m00, m01, m10, m11 = _entries(g)
             if m01 or m10:
                 a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
             else:
@@ -221,7 +229,9 @@ def boolean_action(c: Circuit, n_controls: int, tol: float = 1e-9) -> TruthTable
         raise ValueError(f"boolean_action supports at most {MAX_SIM_QUBITS} qubits")
     controls, target = template_wires(c.n_qubits)
     rows = range(2 ** n_controls)
-    inputs = [sum(((row >> i) & 1) << controls[i] for i in range(n_controls)) for row in rows]
+    inputs = [0]   # the basis index of each row: control_i carries bit i-1
+    for w in controls:
+        inputs += [index | 1 << w for index in inputs]
     block = np.zeros((2 ** c.n_qubits, len(rows)), dtype=complex)
     block[inputs, rows] = 1.0
     final = _evolve(c, block)

@@ -96,19 +96,22 @@ def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
     expansions: dict[Gate, tuple[Gate, ...]] = {}
 
     def expand(g: Gate) -> tuple[Gate, ...]:
-        if g not in expansions:
+        found = expansions.get(g)
+        if found is None:   # an expansion may be () (I), never None
             if basis.contains(g):
-                expansions[g] = (g,)
+                found = (g,)
             else:
                 rule = _RULES.get(g.kind)
                 if rule is None:
                     raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
-                expansions[g] = tuple(native for sub in rule(g) for native in expand(sub))
-        return expansions[g]
+                found = tuple(native for sub in rule(g) for native in expand(sub))
+            expansions[g] = found
+        return found
 
     out: list[Gate] = []
     for g in c.gates:
-        out.extend(expand(g))
+        found = expansions.get(g)
+        out.extend(expand(g) if found is None else found)
     return Circuit(c.n_qubits, tuple(out))
 
 
@@ -117,27 +120,25 @@ def canonicalize(c: Circuit) -> Circuit:
 
     A lone RZ is kept as the same gate; only a merge builds a new one.
     """
+    rz_kind, i_kind = GateKind.RZ, GateKind.I
     out: list[Gate] = []
+    emit = out.append
     pending: dict[int, Gate] = {}
-
-    def flush(q: int) -> None:
-        g = pending.pop(q, None)
-        if g is not None and not g.angle.is_zero():
-            out.append(g)
-
     for g in c.gates:
-        if g.kind == GateKind.RZ:
+        kind = g.kind
+        if kind is rz_kind:
             q = g.qubits[0]
             prior = pending.get(q)
             pending[q] = g if prior is None else rz(prior.angle + g.angle, q)
-        elif g.kind == GateKind.I:
-            continue
-        else:
-            for q in sorted(g.qubits):
-                flush(q)
-            out.append(g)
-    for q in sorted(pending):
-        flush(q)
+        elif kind is not i_kind:
+            if pending:   # flush this gate's wires, lowest first
+                qubits = g.qubits
+                for q in (sorted(qubits) if len(qubits) > 1 else qubits):
+                    prior = pending.pop(q, None)
+                    if prior is not None and not prior.angle.is_zero():
+                        emit(prior)
+            emit(g)
+    out.extend(g for _, g in sorted(pending.items()) if not g.angle.is_zero())
     return Circuit(c.n_qubits, tuple(out))
 
 

@@ -100,6 +100,29 @@ def test_depth_against_precedence_dag():
         assert depth(c) == max(longest, default=0)
 
 
+def reference_depth(c):
+    """depth as first written: one generator over each gate's wires."""
+    frontier = [0] * c.n_qubits
+    for g in c.gates:
+        step = 1 + max(frontier[q] for q in g.qubits)
+        for q in g.qubits:
+            frontier[q] = step
+    return max(frontier, default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_depth_matches_the_reference(data):
+    n = data.draw(st.integers(1, 6))
+    kinds = [k for k in GateKind if k.n_qubits <= n]
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(kinds), st.permutations(range(n))),
+                               max_size=40))
+    c = Circuit(n, tuple(Gate(kind, tuple(wires[:kind.n_qubits]),
+                              Angle(1, 8) if kind.takes_angle else None)
+                         for kind, wires in drawn))
+    assert depth(c) == reference_depth(c)
+
+
 def test_wtqc_goldens():
     assert wtqc((6, 1, 0, 7)) == 14.0
     assert wtqc((34, 3, 0, 29)) == 66.0

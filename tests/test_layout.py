@@ -4,7 +4,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blochsynth.angles import Angle
 from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, swap, t
 from blochsynth.layout import (Layout, LayoutParseError, Mapping, emit_layout,
                                find_chain, find_placement, heavy_hex,
@@ -263,3 +265,94 @@ def test_route_output_spans_the_layout():
     lay = make_layout("pair", [(5, 6)])
     routed, _ = route(Circuit(2, (cz(0, 1),)), lay, Mapping((5, 6)))
     assert routed.n_qubits == 7 and routed.gates == (cz(5, 6),)
+
+
+def reference_route(c, layout, mapping):
+    """route as first written: every output gate built afresh, no relabel table."""
+    if mapping.n_qubits != c.n_qubits:
+        raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
+    for p in mapping.physical:
+        if p not in layout.qubits:
+            raise ValueError(f"mapped qubit {p} not in {layout.name}")
+    pos = dict(enumerate(mapping.physical))
+    loc = {p: w for w, p in pos.items()}
+    out = []
+    xc = 0
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            out.append(Gate(g.kind, (pos[g.qubits[0]],), g.angle))
+            continue
+        a, b = g.qubits
+        while not layout.adjacent(pos[a], pos[b]):
+            hop = layout.shortest_path(pos[a], pos[b])[1]
+            out.append(swap(pos[a], hop))
+            xc += 1
+            other = loc.get(hop)
+            loc[pos[a]] = other
+            if other is not None:
+                pos[other] = pos[a]
+            pos[a], loc[hop] = hop, a
+        out.append(Gate(g.kind, (pos[a], pos[b]), g.angle))
+    return Circuit(max(layout.qubits) + 1, tuple(out)), xc
+
+
+@st.composite
+def routing_cases(draw, max_id, kinds):
+    """A connected layout on <= 8 scattered ids, a circuit over `kinds`, an injective mapping.
+
+    Gates repeat from a small pool, as lowered circuits do, so the relabel
+    table is hit as well as filled.
+    """
+    size = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, max_id), min_size=size, max_size=size, unique=True))
+    edges = [(ids[k], ids[draw(st.integers(0, k - 1))]) for k in range(1, size)]
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=6)):
+        if a != b:
+            edges.append((a, b))
+    layout = make_layout("random", edges, ids)
+    n = draw(st.integers(1, min(size, 5)))
+    mapping = Mapping(tuple(draw(st.permutations(ids))[:n]))
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([k for k in kinds if k.n_qubits <= n]))
+        wires = tuple(draw(st.permutations(range(n)))[:kind.n_qubits])
+        angle = Angle(draw(st.integers(-7, 8)), 8) if kind.takes_angle else None
+        pool.append(Gate(kind, wires, angle))
+    gates = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return Circuit(n, tuple(gates)), layout, mapping
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_cases(40, tuple(GateKind)))
+def test_route_matches_the_reference(case):
+    c, layout, mapping = case
+    routed, xc = route(c, layout, mapping)
+    want, want_xc = reference_route(c, layout, mapping)
+    assert routed.gates == want.gates
+    assert xc == want_xc and routed.n_qubits == want.n_qubits
+
+
+@settings(max_examples=40, deadline=None)
+@given(routing_cases(7, tuple(k for k in GateKind if k != GateKind.SWAP)))
+def test_route_preserves_the_unitary_on_random_layouts(case):
+    # Every output SWAP is routing-inserted (the drawn circuits have none).
+    # Idle and unused wires are tracked too, so the permutations are total.
+    c, layout, mapping = case
+    routed, _ = route(c, layout, mapping)
+    width = routed.n_qubits
+    full = Mapping(mapping.physical + tuple(q for q in range(width)
+                                           if q not in mapping.physical))
+    start = dict(enumerate(full.physical))
+    end = final_positions(routed, full)
+
+    def relabel(pos):
+        return permutation_unitary(tuple(
+            sum(((y >> w) & 1) << pos[w] for w in range(width))
+            for y in range(2 ** width)))
+
+    logical = unitary_of(Circuit(width, c.gates))
+    assert np.allclose(unitary_of(routed),
+                       relabel(end) @ logical @ relabel(start).T, atol=1e-9)
+    for g in routed.gates:
+        if len(g.qubits) == 2:
+            assert layout.adjacent(*g.qubits)

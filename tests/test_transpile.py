@@ -70,6 +70,9 @@ def test_canonicalize_flushes_in_wire_order():
     c = Circuit(2, (rz(Angle(1, 4), 1), rz(Angle(1, 4), 0), cz(0, 1)))
     out = canonicalize(c)
     assert out.gates == (rz(Angle(1, 4), 0), rz(Angle(1, 4), 1), cz(0, 1))
+    # also when the gate lists its wires high first
+    c = Circuit(2, (rz(Angle(1, 4), 1), rz(Angle(1, 2), 0), cx(1, 0)))
+    assert canonicalize(c).gates == (rz(Angle(1, 2), 0), rz(Angle(1, 4), 1), cx(1, 0))
 
 
 def test_canonicalize_is_idempotent_and_monotone():
