@@ -3,17 +3,20 @@ Depth, weighted transpilation cost, and the end-to-end costing pipeline.
 
 The pipeline fixes one auditable accounting order: lower to the native
 basis, canonicalize, count N1/N2, place and route (XC = inserted SWAPs,
-excluded from N2), then decompose the inserted SWAPs and re-canonicalize
-before measuring depth, so D includes the routing overhead while N2 does
-not double-count it.  A route without SWAPs only relabels the native
-circuit, so its D is the native depth.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
+excluded from N2), then take D as the depth of the routed circuit lowered and
+canonicalized again, so D includes the routing overhead while N2 does not
+double-count it; one walk measures it, lowering each distinct SWAP once.  A
+route without SWAPs only relabels the native circuit, so its D is the native
+depth.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .ir import Circuit
+from .angles import Angle
+from .ir import Circuit, Gate, GateKind
 from .layout import Layout, Mapping, find_placement, route
 from .transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
                         count_gates, rewrite_to_basis)
@@ -43,14 +46,51 @@ REFERENCE_COSTS: dict[tuple[str, int], tuple[int, int, int, int]] = {
 
 def depth(c: Circuit) -> int:
     """Longest dependency chain; every gate is one time step on its wires."""
-    frontier = [0] * c.n_qubits
+    frontier: dict[int, int] = defaultdict(int)   # only the wires met: large ids stay cheap
     for g in c.gates:
         if len(g.qubits) == 1:
             frontier[g.qubits[0]] += 1
         else:
             a, b = g.qubits
             frontier[a] = frontier[b] = 1 + max(frontier[a], frontier[b])
-    return max(frontier, default=0)
+    return max(frontier.values(), default=0)
+
+
+def _lowered_depth(routed: Circuit, basis: NativeBasis) -> int:
+    """depth(canonicalize(rewrite_to_basis(routed, basis))), in one walk.
+
+    Each distinct non-basis gate is lowered once.  As in canonicalize, RZ angles
+    pend per wire, summed exactly; a nonzero one flushed is a step; I is dropped.
+    """
+    rz_kind, i_kind = GateKind.RZ, GateKind.I
+    basis_kinds = basis.single_qubit | basis.two_qubit
+    lowered: dict[Gate, tuple[Gate, ...]] = {}
+    pending: dict[int, Angle] = {}
+    frontier: dict[int, int] = defaultdict(int)
+    for g in routed.gates:
+        seq = (g,) if g.kind in basis_kinds else lowered.get(g)
+        if seq is None:
+            seq = lowered[g] = rewrite_to_basis(Circuit(routed.n_qubits, (g,)), basis).gates
+        for s in seq:
+            kind, qubits = s.kind, s.qubits
+            if kind is rz_kind:
+                q = qubits[0]
+                prior = pending.get(q)
+                pending[q] = s.angle if prior is None else prior + s.angle
+            elif kind is not i_kind:
+                for q in qubits:
+                    prior = pending.pop(q, None)
+                    if prior is not None and not prior.is_zero():
+                        frontier[q] += 1
+                if len(qubits) == 1:
+                    frontier[qubits[0]] += 1
+                else:
+                    a, b = qubits
+                    frontier[a] = frontier[b] = 1 + max(frontier[a], frontier[b])
+    for q, angle in pending.items():
+        if not angle.is_zero():
+            frontier[q] += 1
+    return max(frontier.values(), default=0)
 
 
 def wtqc(counts: tuple[int, int, int, int],
@@ -101,7 +141,7 @@ def cost_pipeline(c: Circuit, layout: Layout | None = None,
     if mapping is None:
         mapping = find_placement(layout, native)
     routed, swaps = route(native, layout, mapping)
-    d = depth(canonicalize(rewrite_to_basis(routed, basis))) if swaps else depth(native)
+    d = _lowered_depth(routed, basis) if swaps else depth(native)
     xc = 3 * swaps if xc_mode == "cnots" else swaps
     return CostReport(n1, n2, xc, d, weights, mapping)
 

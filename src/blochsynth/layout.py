@@ -61,7 +61,7 @@ class Layout:
         return (min(a, b), max(a, b)) in self.edges
 
     def shortest_path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Breadth-first shortest path, deterministic by sorted expansion."""
+        """The lexicographically smallest shortest path (BFS, sorted expansion)."""
         if src == dst:
             return (src,)
         parent = {src: src}
@@ -238,6 +238,11 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
     the shortest path toward the second, one SWAP per hop; XC is the number
     of SWAPs inserted, which stay SWAP-kind in the returned circuit.  Each
     distinct (gate, physical wires) pair is relabelled once per call.
+
+    One search per gate gives the hops a search from each hop would: the
+    path is the lexicographically smallest shortest one, and so is each of
+    its suffixes from its first vertex (a smaller suffix would make a
+    smaller whole path), while the second endpoint stays at its end.
     """
     if mapping.n_qubits != c.n_qubits:
         raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
@@ -254,15 +259,15 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
             wires = (pos[g.qubits[0]],)
         else:
             a, b = g.qubits
-            while not layout.adjacent(pos[a], pos[b]):
-                hop = layout.shortest_path(pos[a], pos[b])[1]
-                out.append(swap(pos[a], hop))
-                xc += 1
-                other = loc.get(hop)
-                loc[pos[a]] = other
-                if other is not None:
-                    pos[other] = pos[a]
-                pos[a], loc[hop] = hop, a
+            if not layout.adjacent(pos[a], pos[b]):
+                for hop in layout.shortest_path(pos[a], pos[b])[1:-1]:
+                    out.append(swap(pos[a], hop))
+                    xc += 1
+                    other = loc.get(hop)
+                    loc[pos[a]] = other
+                    if other is not None:
+                        pos[other] = pos[a]
+                    pos[a], loc[hop] = hop, a
             wires = (pos[a], pos[b])
         key = (g, wires)
         new = relabelled.get(key)

@@ -1,5 +1,6 @@
 """Depth, WTQC, the costing pipeline, and reference-row comparisons."""
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from blochsynth.baselines import naive_synth
 from blochsynth.cli import parse_bundled
-from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport,
+from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport, _lowered_depth,
                              cost_pipeline, depth, report_deviations, wtqc)
-from blochsynth.angles import Angle
-from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h
+from blochsynth.angles import PI_2, Angle
+from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, rz, swap
 from blochsynth.layout import (Mapping, find_placement, heavy_hex, make_layout,
                                parse_layout, route)
 from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
@@ -279,3 +280,63 @@ def test_pipeline_depth_matches_relowering_on_random_native_circuits(data):
     for m in (Mapping(tuple(range(n))), mapping):
         want, _ = _timed_depth(c, path, m, basis)
         assert cost_pipeline(c, path, m, basis=basis).d == want
+
+
+def _relowered_depth(routed, basis=DEFAULT_BASIS):
+    return depth(canonicalize(rewrite_to_basis(routed, basis)))
+
+
+@pytest.mark.parametrize("angle", [-PI_2, PI_2])
+@pytest.mark.parametrize("wire", [0, 1])
+def test_lowered_depth_merges_an_rz_into_the_swap(angle, wire):
+    # SWAP(0, 1) lowers to cx(0,1) cx(1,0) cx(0,1); its first gate is
+    # H(1) = RZ(pi/2) SX RZ(pi/2), so RZ(-pi/2) on wire 1 merges to zero.
+    routed = Circuit(3, (rz(angle, wire), swap(0, 1), cz(1, 2)))
+    lowered = rewrite_to_basis(routed)
+    merged = len(lowered.gates) - len(canonicalize(lowered).gates)
+    assert merged == (2 if (wire, angle) == (1, -PI_2) else 1 if wire == 1 else 0)
+    assert _lowered_depth(routed, DEFAULT_BASIS) == _relowered_depth(routed)
+
+
+@pytest.mark.parametrize("angle", [-PI_2, PI_2, Angle(1, 4)])
+@pytest.mark.parametrize("wire", [0, 1])
+def test_lowered_depth_flushes_a_trailing_rz_after_the_last_swap(angle, wire):
+    # The last lowered gate on wire 1 is RZ(pi/2): a trailing RZ(-pi/2)
+    # there merges to zero and is dropped when the walk ends.
+    routed = Circuit(3, (cz(1, 2), swap(2, 1), swap(0, 1), rz(angle, wire)))
+    assert _lowered_depth(routed, DEFAULT_BASIS) == _relowered_depth(routed)
+
+
+_SWAP_NATIVE = NativeBasis("h-rz-cx-swap", frozenset({GateKind.H, GateKind.RZ}),
+                           frozenset({GateKind.CX, GateKind.SWAP}))
+
+
+def test_lowered_depth_with_a_native_swap():
+    routed = Circuit(3, (rz(-PI_2, 1), swap(0, 1), rz(PI_2, 1), cx(1, 2), rz(PI_2, 0)))
+    assert _lowered_depth(routed, _SWAP_NATIVE) == _relowered_depth(routed, _SWAP_NATIVE) == 4
+    path4 = make_layout("path4", [(0, 1), (1, 2), (2, 3)])
+    c = Circuit(4, (h(0), cx(0, 3), rz(Angle(1, 4), 3), cx(3, 1), h(2), cx(2, 0), rz(PI_2, 1)))
+    want, swaps = _timed_depth(c, path4, Mapping((0, 1, 2, 3)), _SWAP_NATIVE)
+    assert swaps > 0
+    assert cost_pipeline(c, path4, Mapping((0, 1, 2, 3)), basis=_SWAP_NATIVE).d == want
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_depth_on_a_sparse_wide_layout_stays_small():
+    # Four edges, but the largest id makes every routed circuit 2,000,001 wide.
+    sparse = make_layout("sparse", [(0, 1), (1, 2), (2, 2000000), (2000000, 5)])
+    c = synth("and", 4)
+    native = canonicalize(rewrite_to_basis(c))
+    mapping = find_placement(sparse, native)
+    routed, swaps = route(native, sparse, mapping)
+    assert swaps > 0 and routed.n_qubits == 2000001
+    assert _peak_bytes(lambda: depth(route(native, sparse, mapping)[0])) < 1 << 20
+    assert _peak_bytes(lambda: cost_pipeline(c, sparse)) < 1 << 20

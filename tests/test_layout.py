@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochsynth.angles import Angle
+from blochsynth.baselines import naive_synth
 from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, swap, t
 from blochsynth.layout import (Layout, LayoutParseError, Mapping, emit_layout,
                                find_chain, find_placement, heavy_hex,
                                load_layout, make_layout, parse_layout, route)
 from blochsynth.simulator import permutation_unitary, unitary_of
-from blochsynth.synthesis import synth
+from blochsynth.synthesis import OPERATOR_RANGES, synth
+from blochsynth.transpile import canonicalize, rewrite_to_basis
 
 from conftest import random_circuit
 
@@ -356,3 +358,42 @@ def test_route_preserves_the_unitary_on_random_layouts(case):
     for g in routed.gates:
         if len(g.qubits) == 2:
             assert layout.adjacent(*g.qubits)
+
+
+GRID4 = make_layout("grid4x4", [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)]
+                    + [(r * 4 + c, r * 4 + c + 4) for r in range(3) for c in range(4)])
+
+
+@pytest.mark.parametrize("layout", [heavy_hex(6, 3), GRID4], ids=lambda lay: lay.name)
+def test_route_breaks_ties_as_the_reference_on_textbook_circuits(layout, monkeypatch):
+    # Textbook circuits couple controls to each other, so chain mappings
+    # shifted along the ids force SWAPs where many shortest paths tie.
+    # Lowered as the pipeline lowers them, the only SWAPs are routing's.
+    searches = []
+    counted = Layout.shortest_path
+
+    def counting(self, src, dst):
+        searches.append((src, dst))
+        return counted(self, src, dst)
+
+    routed_any = 0
+    for kind, sizes in OPERATOR_RANGES.items():
+        for n in sizes:
+            native = canonicalize(rewrite_to_basis(naive_synth(kind, n)))
+            chain = find_chain(layout, n).physical
+            for shift in (0, 1, 5, 9):
+                if not all(p + shift in layout.qubits for p in chain):
+                    continue
+                mapping = Mapping(tuple(p + shift for p in chain))
+                want, want_xc = reference_route(native, layout, mapping)
+                searches.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(Layout, "shortest_path", counting)
+                    routed, xc = route(native, layout, mapping)
+                assert routed == want and xc == want_xc, (kind, n, shift)
+                # one search per gate that arrives on non-adjacent wires
+                late = sum(1 for prev, g in zip(want.gates, want.gates[1:])
+                           if prev.kind is GateKind.SWAP and g.kind is not GateKind.SWAP)
+                assert len(searches) == late, (kind, n, shift)
+                routed_any += xc > 0
+    assert routed_any >= 40
