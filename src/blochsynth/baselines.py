@@ -15,7 +15,9 @@ from itertools import combinations
 from .angles import PI, Angle
 from .ir import Circuit, Gate, cx, diagonal_gate, h, x
 from .ir import t as t_gate, tdg
-from .simulator import equiv_up_to_global_phase, template_wires, unitary_of
+# perfbench/tracing.py wraps this name here, so it stays importable.
+from .simulator import unitary_of  # noqa: F401
+from .simulator import phases_match, template_wires, unitary_columns
 from .synthesis import Operator, SynthVerificationError, operator
 
 
@@ -57,7 +59,7 @@ def naive_synth(kind: str, n: int) -> Circuit:
     op = operator(kind, n)
     controls, target = template_wires(n)
     circuit = Circuit(n, _build(kind, op, controls, target))
-    if not equiv_up_to_global_phase(unitary_of(circuit), op.target(n)):
+    if not phases_match(unitary_columns(circuit), op.target(n), n, per_column=False, tol=1e-10):
         raise SynthVerificationError(f"naive {kind}({n}) does not match its target unitary")
     return circuit
 

@@ -97,24 +97,39 @@ def _synth_from_args(args) -> SynthResult:
     return synth_detailed(op, n)
 
 
+def _path(name: str, option: str) -> Path:
+    """A file named on the command line; an empty name is a usage error, not "absent"."""
+    if not name:
+        raise ValueError(f"{option} expects a file name, got ''")
+    return Path(name)
+
+
+def _read_circuit(name: str):
+    return parse_circuit(_path(name, "circuit").read_text())
+
+
+def _load_basis(args):
+    return DEFAULT_BASIS if args.basis is None else load_basis(_path(args.basis, "--basis"))
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        _path(out, "--out").write_text(text)
 
 
 def _resolve_layout(args) -> Layout | None:
-    if args.layout and args.heavy_hex:
+    if args.layout is not None and args.heavy_hex is not None:
         raise ValueError("--layout and --heavy-hex are mutually exclusive")
-    if args.heavy_hex:
+    if args.heavy_hex is not None:
         rows, sep, cols = args.heavy_hex.partition("x")
         if not sep or not rows.isdigit() or not cols.isdigit():
             raise ValueError(f"--heavy-hex expects RxC, got {args.heavy_hex!r}")
         return heavy_hex(int(rows), int(cols))
-    if args.layout:
+    if args.layout is not None:
         path = Path(args.layout)
-        if path.exists():
+        if path.is_file():
             return load_layout(path)
         bundled = resources.files("blochsynth") / "data" / f"{args.layout}.layout"
         if bundled.is_file():
@@ -152,11 +167,11 @@ def _format_weights(weights) -> str:
 
 
 def _cmd_synth(args) -> int:
-    if args.table and args.op:
+    if args.table is not None and args.op:
         raise ValueError("--op and --table are mutually exclusive")
-    if args.table and args.n is not None:
+    if args.table is not None and args.n is not None:
         raise ValueError("--n and --table are mutually exclusive")
-    if args.table:
+    if args.table is not None:
         bits = args.table.split(",")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"--table expects comma-separated 0/1 bits, got {args.table!r}")
@@ -174,7 +189,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     op, n = _require_op(args)
-    circuit = parse_circuit(Path(args.circuit).read_text())
+    circuit = _read_circuit(args.circuit)
     reason = check(op, n, circuit)
     print(f"op={op}")
     print(f"n={n}")
@@ -186,8 +201,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.circuit:
-        circuit = parse_circuit(Path(args.circuit).read_text())
+    if args.circuit is not None:
+        circuit = _read_circuit(args.circuit)
         text = render_trace_table(circuit)
     else:
         result = _synth_from_args(args)
@@ -198,8 +213,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_cost(args) -> int:
     lines = []
-    if args.circuit:
-        circuit = parse_circuit(Path(args.circuit).read_text())
+    if args.circuit is not None:
+        circuit = _read_circuit(args.circuit)
         kind = None
         lines.append(f"circuit={args.circuit}")
     else:
@@ -210,7 +225,7 @@ def _cmd_cost(args) -> int:
     if args.map is not None and layout is None:
         raise ValueError("--map needs --layout or --heavy-hex")
     mapping = _parse_map(args.map) if args.map is not None else None
-    basis = load_basis(args.basis) if args.basis else DEFAULT_BASIS
+    basis = _load_basis(args)
     report = cost_pipeline(circuit, layout, mapping,
                            weights=_parse_weights(args.weights),
                            xc_mode=args.xc_mode, basis=basis)
@@ -234,7 +249,7 @@ def _cmd_cost(args) -> int:
 def _cmd_compare(args) -> int:
     op, n = _require_op(args)
     layout = _resolve_layout(args)
-    basis = load_basis(args.basis) if args.basis else DEFAULT_BASIS
+    basis = _load_basis(args)
     weights = _parse_weights(args.weights)
     reports = {}
     for label, circuit in (("bsa", synth_detailed(op, n).circuit),

@@ -27,14 +27,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from .angles import ZERO, PI, Angle
 from .ir import (Circuit, GateKind, GateSet, DIAGONAL_NAMES, cx,
                  diagonal_gate)
-from .simulator import (boolean_action, equiv_up_to_relative_phase,
-                        permutation_unitary, reference_unitary,
-                        template_wires, unitary_of, TruthTable)
+# perfbench/tracing.py wraps these two names here, so they stay importable.
+from .simulator import boolean_action, unitary_of  # noqa: F401
+from .simulator import (Columns, TruthTable, permutation_columns, phases_match,
+                        reference_columns, template_wires, unitary_columns)
 from .templates import SlotKind, Template, instantiate, make_template, slot_masks
 
 _UNIT_DEN = 64          # angles live in integer units of pi/64
@@ -352,11 +351,12 @@ class Operator:
     A Boolean operator is the AND of its control literals, complemented
     when `complemented`: `inverted` slices out the controls c1..ck read
     inverted, and its target XORs that function into the target wire.  Every
-    other operator leaves `inverted` None and gives its target `unitary`.
+    other operator leaves `inverted` None and gives its target's sparse
+    `columns`.
     """
     sizes: range | tuple[int, ...]
     design: Callable[[str, int], SynthResult]
-    unitary: Callable[[int], np.ndarray] | None = None
+    columns: Callable[[int], Columns] | None = None
     inverted: slice | None = None
     complemented: bool = False
 
@@ -366,13 +366,13 @@ class Operator:
         flip = sum(1 << i for i in range(n_controls)[self.inverted])
         return tuple((x ^ flip == ones) != self.complemented for x in range(ones + 1))
 
-    def target(self, n: int) -> np.ndarray:
-        """The exact target unitary on n qubits."""
+    def target(self, n: int) -> Columns:
+        """The exact target unitary on n qubits, as sparse columns."""
         if self.inverted is None:
-            return self.unitary(n)
+            return self.columns(n)
         controls, target = template_wires(n)
         outputs = self.outputs(n - 1)
-        return permutation_unitary(tuple(
+        return permutation_columns(tuple(
             index ^ (outputs[sum((index >> w & 1) << i for i, w in enumerate(controls))] << target)
             for index in range(2 ** n)))
 
@@ -387,12 +387,12 @@ OPERATORS: dict[str, Operator] = {
     "nor": Operator(range(2, 6), _synth_boolean, inverted=slice(None)),
     "implication": Operator(range(3, 4), _synth_boolean, inverted=slice(1, 2), complemented=True),
     "inhibition": Operator(range(3, 4), _synth_boolean, inverted=slice(1, 2)),
-    "cv": Operator((2, 4), partial(_synth_cv, Angle(1, 2)), partial(reference_unitary, "cv")),
-    "cvdg": Operator((2, 4), partial(_synth_cv, Angle(-1, 2)), partial(reference_unitary, "cvdg")),
+    "cv": Operator((2, 4), partial(_synth_cv, Angle(1, 2)), partial(reference_columns, "cv")),
+    "cvdg": Operator((2, 4), partial(_synth_cv, Angle(-1, 2)), partial(reference_columns, "cvdg")),
     "fredkin": Operator((3, 4), _synth_fredkin,
-                        lambda n: permutation_unitary(fredkin_permutation(n))),
+                        lambda n: permutation_columns(fredkin_permutation(n))),
     "miller": Operator((3, 4), _synth_miller,
-                       lambda n: permutation_unitary(miller_permutation(n))),
+                       lambda n: permutation_columns(miller_permutation(n))),
 }
 
 OPERATOR_RANGES = {kind: op.sizes for kind, op in OPERATORS.items()}
@@ -420,7 +420,7 @@ def check(kind: str, n: int, circuit: Circuit) -> str:
     if circuit.n_qubits != n:
         return f"circuit has {circuit.n_qubits} qubits, expected {n}"
     if op.inverted is None:
-        if equiv_up_to_relative_phase(unitary_of(circuit), op.target(n)):
+        if phases_match(unitary_columns(circuit), op.target(n), n, per_column=True, tol=1e-9):
             return ""
         return "unitary does not match the operator up to relative phase"
     try:

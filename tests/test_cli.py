@@ -1,8 +1,14 @@
 """CLI subcommands: golden outputs, exit codes, and determinism."""
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import blochsynth
 from blochsynth import synthesis
 from blochsynth.cli import main, parse_bundled
 
@@ -93,6 +99,31 @@ def test_synth_usage_errors(capsys):
     assert rc == 2 and out == "" and "mutually exclusive" in err
     with pytest.raises(SystemExit):
         main(["synth", "--op", "parity", "--n", "3"])
+
+
+def test_empty_option_strings_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # An empty string is a given value, not an absent option: each call exits
+    # 2 with one line naming the option, and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    cases = (
+        (("synth", "--op", "and", "--n", "3", "--table", ""),
+         "--op and --table are mutually exclusive"),
+        (("synth", "--table", ""), "--table expects comma-separated 0/1 bits, got ''"),
+        (("synth", "--op", "and", "--n", "3", "--out", ""), "--out expects a file name, got ''"),
+        (("trace", "--op", "and", "--n", "3", "--out", ""), "--out expects a file name, got ''"),
+        (("cost", "--op", "and", "--n", "3", "--layout", ""),
+         "layout '' is neither a file nor a bundled name"),
+        (("cost", "--op", "and", "--n", "3", "--heavy-hex", ""), "--heavy-hex expects RxC, got ''"),
+        (("compare", "--op", "and", "--n", "3", "--basis", ""),
+         "--basis expects a file name, got ''"),
+        (("verify", "", "--op", "and", "--n", "3"), "circuit expects a file name, got ''"),
+        (("trace", ""), "circuit expects a file name, got ''"),
+        (("cost", ""), "circuit expects a file name, got ''"),
+    )
+    for argv, message in cases:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):
@@ -315,3 +346,44 @@ def test_parse_bundled():
     assert torino.name == "ibm_torino" and len(torino.qubits) == 129
     with pytest.raises(FileNotFoundError):
         parse_bundled("missing")
+
+
+# Run in a fresh interpreter: the package import and each command in turn,
+# checking after each that numpy was never loaded.
+_NUMPY_PROBE = """\
+import contextlib, io, json, sys
+import blochsynth, blochsynth.cli
+loaded = ["import blochsynth"] if "numpy" in sys.modules else []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = blochsynth.cli.main(argv)
+    if rc != 0 or "numpy" in sys.modules:
+        loaded.append(f"{' '.join(argv)} (exit {rc})")
+        break
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_numpy(tmp_path):
+    circuit = str(tmp_path / "and5.txt")
+    commands = [
+        ["synth", "--op", "and", "--n", "5", "--out", circuit],
+        ["synth", "--table", "0,1,1,0,1,0,0,1"],
+        ["synth", "--op", "cv", "--n", "4"],
+        ["verify", circuit, "--op", "and", "--n", "5"],
+        ["trace", "--op", "and", "--n", "5"],
+        ["trace", circuit],
+        ["cost", "--op", "and", "--n", "5", "--layout", "ibm_torino"],
+        ["compare", "--op", "and", "--n", "5", "--layout", "ibm_torino"],
+        ["compare", "--op", "fredkin", "--n", "4", "--layout", "ibm_torino"],
+        ["compare", "--op", "miller", "--n", "4", "--layout", "ibm_torino"],
+        ["compare", "--op", "cv", "--n", "4", "--layout", "ibm_torino"],
+    ]
+    package_root = str(Path(blochsynth.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

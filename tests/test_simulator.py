@@ -1,7 +1,12 @@
 """Statevector simulation against hand-built matrix oracles."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from conftest import random_circuit
+from hypothesis import given, settings, strategies as st
+
+from blochsynth import baselines
 
 from blochsynth.ir import (Circuit, Gate, GateKind, cx, cz, h, rz, s, swap,
                            sx, t, x, z)
@@ -12,7 +17,8 @@ from blochsynth.simulator import (MAX_SIM_QUBITS, SignedPauli, StateVector, Trut
                                   equiv_up_to_relative_phase, gate_matrix,
                                   permutation_unitary, reference_unitary,
                                   template_wires, unitary_of)
-from blochsynth.synthesis import synth_table
+from blochsynth.synthesis import (OPERATORS, SynthVerificationError, check, operator,
+                                  synth, synth_table)
 
 _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 _T = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -102,6 +108,73 @@ def test_unitary_of_matches_kron_products():
             k = int(rng.integers(2 ** n))
             assert np.allclose(apply(c, StateVector.basis(n, k)).amplitudes,
                                expect[:, k], atol=1e-12)
+
+
+@st.composite
+def circuits(draw, max_qubits=5):
+    """A circuit on at most max_qubits wires over every gate kind that fits."""
+    n = draw(st.integers(1, max_qubits))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from([k for k in GateKind if k.n_qubits <= n]),
+                              max_size=24)):
+        wires = tuple(draw(st.permutations(range(n)))[:kind.n_qubits])
+        angle = Angle(draw(st.integers(-63, 64)), 64) if kind.takes_angle else None
+        gates.append(Gate(kind, wires, angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits(), st.data())
+def test_kernel_matches_kron_products_on_random_circuits(c, data):
+    n = c.n_qubits
+    expect = np.eye(2 ** n)
+    for g in c.gates:
+        expect = _kron_matrix(g, n) @ expect
+    assert np.allclose(unitary_of(c), expect, atol=1e-12)
+    amps = data.draw(st.lists(st.complex_numbers(max_magnitude=1, allow_nan=False),
+                              min_size=2 ** n, max_size=2 ** n))
+    assert np.allclose(apply(c, StateVector(n, amps)).amplitudes, expect @ np.array(amps),
+                       atol=1e-12)
+
+
+_PAIRS = [(kind, n) for kind, op in OPERATORS.items() for n in op.sizes]
+
+
+def _dense_target(kind, n):
+    """The operator's sparse target columns as a matrix, filled here by hand."""
+    u = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for key, amp in operator(kind, n).target(n).items():
+        u[key & (2 ** n - 1), key >> n] = amp
+    return u
+
+
+@pytest.mark.parametrize("kind,n", _PAIRS)
+def test_sparse_checks_agree_with_the_dense_predicates(kind, n):
+    target = _dense_target(kind, n)
+    assert check(kind, n, synth(kind, n)) == ""
+    assert equiv_up_to_relative_phase(unitary_of(synth(kind, n)), target)
+    # naive_synth raises unless its own global-phase check passes.
+    assert equiv_up_to_global_phase(unitary_of(baselines.naive_synth(kind, n)), target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PAIRS), st.data())
+def test_sparse_and_dense_checks_reject_a_dropped_gate(pair, data):
+    kind, n = pair
+    target = _dense_target(kind, n)
+    design = synth(kind, n).gates
+    k = data.draw(st.integers(0, len(design) - 1))
+    dropped = Circuit(n, design[:k] + design[k + 1:])
+    assert check(kind, n, dropped) != ""
+    assert not equiv_up_to_relative_phase(unitary_of(dropped), target)
+
+    textbook = baselines.naive_synth(kind, n).gates
+    k = data.draw(st.integers(0, len(textbook) - 1))
+    with patch.object(baselines, "_build", lambda *args: textbook[:k] + textbook[k + 1:]):
+        with pytest.raises(SynthVerificationError, match="does not match its target"):
+            baselines.naive_synth(kind, n)
+    dropped = Circuit(n, textbook[:k] + textbook[k + 1:])
+    assert not equiv_up_to_global_phase(unitary_of(dropped), target)
 
 
 def _kron_boolean_action(c, n_controls, tol=1e-9):
