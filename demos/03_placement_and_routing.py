@@ -2,11 +2,12 @@
 Placing templates on a heavy-hex lattice and routing the leftovers
 ==================================================================
 
-Heavy-hex devices never exceed degree 3, yet every template here places
-with zero SWAPs: chains suffice up to 3 qubits, and the 4-qubit template
-interacts only through its target, so a degree-3 hub hosts it as a star.
-When a placement cannot avoid distance, route() inserts SWAPs greedily
-and reports the honest count.
+Heavy-hex devices never exceed degree 3, yet every template up to 4
+qubits places with zero SWAPs.  find_placement embeds the circuit's
+interaction pairs: a template interacts only through its target, so its
+pairs form a star, which a degree-3 hub hosts up to 4 qubits.  When no
+embedding exists, it falls back to a chain, and route() inserts SWAPs
+greedily and reports the honest count.
 """
 
 from blochsynth import Mapping, find_placement, heavy_hex, route, synth
@@ -19,13 +20,14 @@ lattice = heavy_hex(6, 3)
 print(f"{lattice.name}: {len(lattice.qubits)} qubits, {len(lattice.edges)} edges")
 print("max degree:", max(lattice.degree(q) for q in lattice.qubits))
 
-# A 3-qubit template is a chain (c1 - target - c2), and the smallest
-# chain starts at physical 0.
+# A 3-qubit template is a star with two spokes (c1 - target - c2); the
+# search puts wire 0 on the lowest id that has a neighbour of degree 2.
 and3 = canonicalize(rewrite_to_basis(synth("and", 3)))
 print("\nAND-3 placement:", find_placement(lattice, and3).physical)
 
-# The 4-qubit template needs three neighbors for its target.  Vertex 4
-# is the first lattice point of degree 3, so the star lands there.
+# The 4-qubit template needs three neighbors for its target.  Wire 0
+# goes to 3, the lowest id next to a degree-3 vertex (4), which takes the
+# hub; the other spokes follow in ascending order.
 and4 = canonicalize(rewrite_to_basis(synth("and", 4)))
 mapping4 = find_placement(lattice, and4)
 print("AND-4 placement:", mapping4.physical, "(wire 2 is the hub)")
@@ -41,8 +43,9 @@ routed, xc = route(Circuit(2, (cz(0, 1),)), lattice, spread)
 print("\nCZ between physical 0 and 3:", xc, "SWAPs")
 print("routed gates:", [(g.kind.value, g.qubits) for g in routed.gates])
 
-# A 5-qubit template wants a degree-4 hub, which heavy-hex cannot offer;
-# the chain fallback still works, routing pays instead.
+# A 5-qubit template wants a degree-4 hub, which heavy-hex cannot offer,
+# so the search stops at once; the chain fallback still works, and
+# routing pays instead.
 and5 = canonicalize(rewrite_to_basis(synth("and", 5)))
 mapping5 = find_placement(lattice, and5)
 _, xc5 = route(and5, lattice, mapping5)

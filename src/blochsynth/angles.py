@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 MAX_DENOMINATOR = 64
 
@@ -52,15 +51,6 @@ class Angle:
     @classmethod
     def pi(cls) -> "Angle":
         return cls(1, 1)
-
-    @classmethod
-    def from_float(cls, theta: float, tol: float = 1e-9) -> "Angle":
-        """Snap a float angle (radians) to the nearest dyadic fraction of pi."""
-        frac = Fraction(theta / math.pi).limit_denominator(MAX_DENOMINATOR)
-        if abs(float(frac) * math.pi - theta) % (2 * math.pi) > tol and \
-           abs(abs(float(frac) * math.pi - theta) % (2 * math.pi) - 2 * math.pi) > tol:
-            raise ValueError(f"{theta} is not a dyadic multiple of pi within {tol}")
-        return cls(frac.numerator, frac.denominator)
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.num * other.den + other.num * self.den, self.den * other.den)

@@ -153,26 +153,20 @@ def circuit_inverse(c: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class GateSet:
-    """A named set of gate kinds, optionally admitting bounded or arbitrary rotations.
+    """A named set of gate kinds, optionally admitting bounded RZ rotations.
 
     rz_bound is a Fraction of pi: RZ(theta) is a member iff 0 < |theta| <= rz_bound*pi.
     """
     name: str
     kinds: frozenset[GateKind] = frozenset()
     rz_bound: Fraction | None = None
-    rz_any: bool = False
-    rx_any: bool = False
 
     def contains(self, g: Gate) -> bool:
-        if g.kind == GateKind.RZ:
-            if self.rz_any or GateKind.RZ in self.kinds:
-                return True
-            if self.rz_bound is not None:
-                return abs(Fraction(g.angle.num, g.angle.den)) <= self.rz_bound
-            return False
-        if g.kind == GateKind.RX:
-            return self.rx_any or GateKind.RX in self.kinds
-        return g.kind in self.kinds
+        if g.kind in self.kinds:
+            return True
+        if g.kind == GateKind.RZ and self.rz_bound is not None:
+            return abs(Fraction(g.angle.num, g.angle.den)) <= self.rz_bound
+        return False
 
 
 # The Clifford+T vocabulary (named kinds only; RZ/RX excluded by design).

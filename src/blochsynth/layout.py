@@ -2,13 +2,14 @@
 Coupling graphs, placement, and SWAP routing.
 
 A Layout is an undirected graph over physical qubit ids (file-loadable, or
-generated as a heavy-hex lattice).  find_chain maps template wires onto the
-lexicographically smallest simple path so the target lands mid-chain;
-find_placement first tries that chain, then a star around a shared hub (the
-n = 4 templates interact only through the target), and otherwise falls back
-to the chain and lets routing pay the SWAP cost honestly.  route inserts
-SWAPs greedily along shortest paths, moving the first endpoint toward the
-second, and reports the inserted count as XC.
+generated as a heavy-hex lattice).  Placement is one search, which embeds a
+forest of wire pairs so that every pair lands on adjacent ids.
+find_placement embeds the circuit's interaction pairs (a template interacts
+only through its target, a star), else the chain 0-1-...-(n-1), else any n
+connected qubits, and lets routing pay the SWAP cost honestly; find_chain
+is the chain case alone.  route inserts SWAPs greedily along shortest paths,
+moving the first endpoint toward the second, and reports the inserted count
+as XC.
 """
 from __future__ import annotations
 
@@ -45,11 +46,16 @@ class Layout:
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {q: [] for q in self.qubits}
+        """Each id's neighbours ascending, keyed in ascending id order."""
+        nbrs: dict[int, list[int]] = {q: [] for q in sorted(self.qubits)}
         for a, b in self.edges:
             nbrs[a].append(b)
             nbrs[b].append(a)
         return {q: tuple(sorted(v)) for q, v in nbrs.items()}
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(map(len, self._adjacency.values()), default=0)
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacency[q]
@@ -177,58 +183,80 @@ def find_chain(layout: Layout, n: int) -> Mapping:
     """Map n wires onto the lexicographically smallest simple n-path."""
     if not 1 <= n <= 5:
         raise ValueError(f"chain placement supports 1..5 qubits, got {n}")
-    for start in sorted(layout.qubits):
-        path = _extend_path([start], n, layout)
-        if path is not None:
-            return Mapping(tuple(path))
-    raise ValueError(f"no simple path of {n} qubits in {layout.name}")
-
-
-def _extend_path(path: list[int], n: int, layout: Layout) -> list[int] | None:
-    if len(path) == n:
-        return path
-    for nb in layout.neighbors(path[-1]):
-        if nb not in path:
-            found = _extend_path(path + [nb], n, layout)
-            if found is not None:
-                return found
-    return None
+    mapping = _embed(layout, n, zip(range(n), range(1, n)))
+    if mapping is None:
+        raise ValueError(f"no simple path of {n} qubits in {layout.name}")
+    return mapping
 
 
 def find_placement(layout: Layout, c: Circuit) -> Mapping:
     """Pick a mapping that makes every interaction adjacent when possible.
 
-    Chain when all interacting wire pairs are consecutive, star when they
-    share a hub wire and the layout has a vertex of sufficient degree,
-    otherwise the plain chain (routing will then report a nonzero XC).
+    Embeds the circuit's interaction pairs, else the chain 0-1-...-(n-1)
+    (routing then reports a nonzero XC), else the first n qubits of a
+    breadth-first walk from the lowest id whose component is big enough.
     """
-    pairs = sorted({g.qubits if g.qubits[0] < g.qubits[1] else g.qubits[::-1]
-                    for g in c.gates if len(g.qubits) == 2})
-    if all(b == a + 1 for a, b in pairs):
-        return find_chain(layout, c.n_qubits)
-    hubs = set(pairs[0])
-    for a, b in pairs[1:]:
-        hubs &= {a, b}
-    if hubs:
-        placed = _star_placement(layout, c.n_qubits, min(hubs), pairs)
-        if placed is not None:
-            return placed
-    return find_chain(layout, c.n_qubits)
+    n = c.n_qubits
+    mapping = (_embed(layout, n, {g.qubits for g in c.gates if len(g.qubits) == 2})
+               or _embed(layout, n, zip(range(n), range(1, n))))
+    if mapping is not None:
+        return mapping
+    for root in layout._adjacency:
+        walk = [root]
+        for v in walk:
+            walk += [nb for nb in layout.neighbors(v) if nb not in walk]
+            if len(walk) >= n:
+                return Mapping(tuple(walk[:n]))
+    raise ValueError(f"no connected set of {n} qubits in {layout.name}")
 
 
-def _star_placement(layout: Layout, n: int, hub: int,
-                    pairs: list[tuple[int, int]]) -> Mapping | None:
-    others = sorted({q for pair in pairs for q in pair} - {hub})
-    if len(layout.qubits) < n:
+def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
+    """The first injective placement of n wires that makes every pair adjacent.
+
+    None when there is none or the pairs close a cycle.  Wires are placed
+    breadth-first from the lowest wire, partners ascending, and wires with
+    no partner last; each takes the lowest free id adjacent to its parent's
+    (any id for a root) with at least as many neighbours as it has partners.
+    """
+    partners: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        partners[a].add(b)
+        partners[b].add(a)
+    need = [len(p) for p in partners]
+    if sum(need) >= 2 * n or max(need, default=0) > layout.max_degree:
+        return None     # n edges close a cycle; a wire needs a degree no id has
+    parent: dict[int, int | None] = {}
+    order: list[int] = []
+    for root in sorted(range(n), key=lambda w: (not need[w], w)):
+        if root in parent:
+            continue
+        parent[root] = None
+        tree = [root]
+        for w in tree:
+            for p in sorted(partners[w] - parent.keys()):
+                parent[p] = w
+                tree.append(p)
+        order += tree
+    if sum(need) != 2 * (n - list(parent.values()).count(None)):
         return None
-    for v in sorted(layout.qubits):
-        if layout.degree(v) >= len(others):
-            assigned = {hub: v}
-            assigned.update(zip(others, layout.neighbors(v)))
-            spare = (q for q in sorted(layout.qubits) if q not in set(assigned.values()))
-            return Mapping(tuple(assigned[w] if w in assigned else next(spare)
-                                 for w in range(n)))
-    return None
+    adjacency = layout._adjacency
+    phys = [0] * n
+    used: set[int] = set()
+
+    def place(k: int) -> bool:
+        if k == n:
+            return True
+        w, up = order[k], parent[order[k]]
+        for q in adjacency if up is None else adjacency[phys[up]]:
+            if q not in used and len(adjacency[q]) >= need[w]:
+                phys[w] = q
+                used.add(q)
+                if place(k + 1):
+                    return True
+                used.discard(q)
+        return False
+
+    return Mapping(tuple(phys)) if place(0) else None
 
 
 def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:

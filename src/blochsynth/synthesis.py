@@ -39,8 +39,6 @@ from .templates import SlotKind, Template, instantiate, make_template, slot_mask
 _UNIT_DEN = 64          # angles live in integer units of pi/64
 _MOD = 2 * _UNIT_DEN    # mod 2pi
 
-SEGMENTS = frozenset({"semicircles", "quadrants", "octants"})
-
 
 class UnsatisfiableError(ValueError):
     """No theta assignment exists in the narrowed gate set."""
@@ -73,7 +71,6 @@ class BooleanSpec:
 @dataclass(frozen=True)
 class NarrowingResult:
     ctg3: GateSet
-    seg1: frozenset[str]
     candidates: tuple[Angle, ...]   # descending; solutions inside them win, in this order
 
 
@@ -84,25 +81,21 @@ def narrow_gate_set(n_cnot: int) -> NarrowingResult:
     if n_cnot == 1:
         return NarrowingResult(
             GateSet("CTG3", frozenset({GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG})),
-            frozenset({"quadrants", "octants"}),
             (Angle(1, 2), Angle(1, 4), Angle(-1, 4), Angle(-1, 2)))
     if n_cnot == 2:
         # Dyadic discretization of |theta| <= pi/3: step pi/4, leaving +-pi/4.
         return NarrowingResult(
             GateSet("CTG3", frozenset(), rz_bound=Fraction(1, 3)),
-            SEGMENTS,
             (Angle(1, 4), Angle(-1, 4)))
     if n_cnot == 3:
         return NarrowingResult(
             GateSet("CTG3", frozenset({GateKind.T, GateKind.TDG})),
-            frozenset({"octants"}),
             (Angle(1, 4), Angle(-1, 4)))
     k = 1
     while 2 ** k < n_cnot + 1:
         k += 1
     return NarrowingResult(
         GateSet("CTG3", frozenset(), rz_bound=Fraction(1, n_cnot + 1)),
-        SEGMENTS,
         (Angle(1, 2 ** k), Angle(-1, 2 ** k)))
 
 

@@ -39,13 +39,6 @@ class Slot:
     kind: SlotKind
     index: int = 0   # theta number or control number (both 1-based); 0 otherwise
 
-    def label(self) -> str:
-        if self.kind == SlotKind.THETA:
-            return f"θ{self.index}"
-        if self.kind == SlotKind.CNOT:
-            return f"CNOT(c{self.index})"
-        return self.kind.name
-
 
 @dataclass(frozen=True)
 class Template:

@@ -38,15 +38,6 @@ def test_float_value():
     assert math.isclose(Angle(7, 8).radians, 7 * math.pi / 8, abs_tol=1e-15)
 
 
-def test_from_float_recovers_dyadics():
-    for num, den in ((1, 4), (-3, 8), (1, 1), (0, 1), (5, 64), (-1, 2)):
-        assert Angle.from_float(num * math.pi / den) == Angle(num, den)
-    with pytest.raises(ValueError):
-        Angle.from_float(0.1)
-    with pytest.raises(ValueError):
-        Angle.from_float(math.pi / 3)
-
-
 def test_parse_and_str_round_trip():
     for text in ("1/4", "-3/8", "1", "0", "-1/2", "7/64"):
         assert str(Angle.parse(text)) == text

@@ -311,6 +311,18 @@ def test_compare_golden(capsys):
     assert rc == 0 and out == COMPARE_AND3
 
 
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, sizes in synthesis.OPERATOR_RANGES.items()
+                                    for n in (4, 5) if n in sizes])
+def test_compare_on_star5(capsys, kind, n):
+    # The textbook circuit does not fit a star: it is placed on a connected
+    # set and routed, while the design stays SWAP-free.
+    rc, out, err = run(capsys, "compare", "--op", kind, "--n", str(n),
+                       "--layout", "star5")
+    assert rc == 0 and err == ""
+    xc = next(line.split() for line in out.splitlines() if line.startswith("xc "))
+    assert xc[1] == "0"
+
+
 def test_compare_requires_op(capsys):
     rc, _, err = run(capsys, "compare", "--n", "3")
     assert rc == 2 and "--op and --n are required" in err

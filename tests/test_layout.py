@@ -1,13 +1,16 @@
 """Coupling graphs, heavy-hex generation, placement, and SWAP routing."""
 from collections import deque
 from importlib import resources
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blochsynth.angles import Angle
 from blochsynth.baselines import naive_synth
+from blochsynth.cli import main
+from blochsynth.cost import cost_pipeline
 from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, swap, t
 from blochsynth.layout import (Layout, LayoutParseError, Mapping, emit_layout,
                                find_chain, find_placement, heavy_hex,
@@ -77,15 +80,7 @@ def test_heavy_hex_torino_shape():
         assert lay.adjacent(a, b), (a, b)
     assert not lay.adjacent(14, 15)
     assert all(lay.degree(q) <= 3 for q in lay.qubits)
-    # connected: BFS from 0 reaches everything
-    seen, queue = {0}, deque([0])
-    while queue:
-        v = queue.popleft()
-        for nb in lay.neighbors(v):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    assert seen == lay.qubits
+    assert component(lay, 0) == lay.qubits     # connected
     # odd gaps offset their bridges by two columns
     first_bridge_row1 = 19 + 15          # line 1 ends at 33; bridges start at 34
     assert lay.adjacent(19 + 2, first_bridge_row1)
@@ -150,7 +145,7 @@ def test_find_placement_one_qubit():
     # one wire needs no edge: it goes to the lowest layout id
     one = Circuit(1, (h(0),))
     assert find_placement(heavy_hex(6, 3), one).physical == (0,)
-    assert find_placement(load_layout_star(), one).physical == (0,)
+    assert find_placement(bundled("star5"), one).physical == (0,)
     assert find_placement(make_layout("far", [(9, 7), (7, 3)]), one).physical == (3,)
     assert find_chain(path_layout(3), 1).physical == (0,)
     with pytest.raises(ValueError, match="supports 1..5 qubits, got 0"):
@@ -166,24 +161,115 @@ def test_find_placement_chain_branch():
 def test_find_placement_star_branch():
     lay = heavy_hex(6, 3)
     mapping = find_placement(lay, synth("and", 4))
-    # hub = first degree-3 vertex (4); spokes in sorted neighbor order
+    # wire 0 on the lowest id next to a degree-3 vertex (3, next to 4);
+    # the hub takes 4 and the other spokes its free neighbours ascending
     assert mapping.physical == (3, 5, 4, 16)
-    star = load_layout_star()
+    star = bundled("star5")
     assert find_placement(star, synth("and", 5)).physical == (1, 2, 0, 3, 4)
 
 
-def load_layout_star():
+def bundled(name):
     data = resources.files("blochsynth") / "data"
-    return parse_layout((data / "star5.layout").read_text(), "star5")
+    return parse_layout((data / f"{name}.layout").read_text(), name)
+
+
+def component(layout, q):
+    """The ids connected to q."""
+    seen, queue = {q}, deque([q])
+    while queue:
+        for nb in layout.neighbors(queue.popleft()):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen
 
 
 def test_find_placement_falls_back_to_chain():
-    # a triangle of interactions has no shared hub: honest chain + SWAPs
+    # a triangle of interactions is a cycle, which is never embedded:
+    # honest chain + SWAPs
     triangle = Circuit(3, (cz(0, 1), cz(1, 2), cz(0, 2)))
     assert find_placement(path_layout(4), triangle).physical == (0, 1, 2)
     # star interactions on a degree-2 layout also fall back
     starish = Circuit(4, (cz(0, 2), cz(1, 2), cz(2, 3)))
     assert find_placement(path_layout(5), starish).physical == (0, 1, 2, 3)
+
+
+def test_find_placement_falls_back_to_a_connected_set():
+    # neither the ring nor a 4-chain fits a 3-spoke star: the first four
+    # ids of a breadth-first walk from the lowest id
+    ring = Circuit(4, (cz(0, 1), cz(1, 2), cz(2, 3), cz(3, 0)))
+    hub = make_layout("hub", [(5, 1), (5, 2), (5, 3)])
+    assert find_placement(hub, ring).physical == (1, 5, 2, 3)
+
+
+def test_a_layout_without_n_connected_qubits_is_a_one_line_error(capsys, tmp_path):
+    split = make_layout("split", [(0, 1), (2, 3)])
+    with pytest.raises(ValueError) as exc:
+        find_placement(split, synth("and", 3))
+    assert str(exc.value) == "no connected set of 3 qubits in split"
+    with pytest.raises(ValueError, match="^no connected set of 6 qubits in star5$"):
+        find_placement(bundled("star5"), Circuit(6, (cz(0, 5),)))
+    path = tmp_path / "split.layout"
+    path.write_text(emit_layout(split))
+    assert main(["cost", "--op", "and", "--n", "3", "--layout", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no connected set of 3 qubits in split\n"
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, sizes in OPERATOR_RANGES.items()
+                                    for n in sizes])
+def test_benchmark_facing_placements(kind, n):
+    # Designs interact only through the target: a star, which heavy-hex
+    # hosts up to degree 3 and star5 at every size.  Textbook circuits
+    # couple controls too and get the chain, which compare's XC and D
+    # on ibm_torino rest on.
+    torino = bundled("ibm_torino")
+    design = synth(kind, n)
+    for layout in (torino, bundled("star5")) if n <= 4 else (bundled("star5"),):
+        assert cost_pipeline(design, layout).xc == 0, layout.name
+    textbook = cost_pipeline(naive_synth(kind, n), torino)
+    assert textbook.mapping == find_chain(torino, n)
+
+
+@st.composite
+def forest_cases(draw):
+    """A layout that may be disconnected, and a circuit on <= 5 wires whose
+    interaction pairs form a random forest."""
+    layout = draw(scattered_layouts(40, connected=draw(st.booleans())))
+    most = min(len(layout.qubits), 5)
+    n = most - draw(st.integers(0, most - 1))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[k], label[draw(st.integers(0, k - 1))])
+             for k in range(1, n) if draw(st.integers(0, 3))]
+    gates = [cz(a, b) if draw(st.booleans()) else cz(b, a) for a, b in pairs]
+    return layout, Circuit(n, tuple(draw(st.permutations(gates)))), pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_cases())
+@example((path_layout(5), Circuit(4, (cz(0, 2), cz(2, 1), cz(3, 2))), [(0, 2), (1, 2), (2, 3)]))
+@example((make_layout("kite", [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)]),   # 0-1-2 dead-ends
+          Circuit(4, (cz(0, 1), cz(1, 2), cz(2, 3))), [(0, 1), (1, 2), (2, 3)]))
+@example((make_layout("split", [(0, 1), (2, 3)]), Circuit(3, (cz(0, 1),)), [(0, 1)]))
+@example((make_layout("split", [(0, 1), (2, 3), (4, 5)]), Circuit(3, (cz(2, 1), cz(1, 0))),
+          [(1, 2), (0, 1)]))
+def test_find_placement_embeds_a_forest_exactly_when_brute_force_does(case):
+    layout, c, pairs = case
+    n = c.n_qubits
+    fits = any(all(layout.adjacent(m[a], m[b]) for a, b in pairs)
+               for m in permutations(sorted(layout.qubits), n))
+    try:
+        mapping = find_placement(layout, c)
+    except ValueError as exc:
+        assert not fits
+        assert str(exc) == f"no connected set of {n} qubits in {layout.name}"
+        assert all(len(component(layout, q)) < n for q in layout.qubits)
+        return
+    assert set(mapping.physical) <= layout.qubits
+    assert (route(c, layout, mapping)[1] == 0) == fits
+    if not fits:
+        assert set(mapping.physical) <= component(layout, mapping.physical[0])
 
 
 def test_route_adjacent_gates_pass_through():
@@ -299,19 +385,29 @@ def reference_route(c, layout, mapping):
 
 
 @st.composite
+def scattered_layouts(draw, max_id, connected=True):
+    """A layout on <= 8 scattered ids: a random tree (a forest unless
+    `connected`) plus up to six random extra edges."""
+    size = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, max_id), min_size=size, max_size=size, unique=True))
+    edges = [(ids[k], ids[draw(st.integers(0, k - 1))]) for k in range(1, size)
+             if connected or draw(st.booleans())]
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=6)):
+        if a != b:
+            edges.append((a, b))
+    return make_layout("random", edges, ids)
+
+
+@st.composite
 def routing_cases(draw, max_id, kinds):
     """A connected layout on <= 8 scattered ids, a circuit over `kinds`, an injective mapping.
 
     Gates repeat from a small pool, as lowered circuits do, so the relabel
     table is hit as well as filled.
     """
-    size = draw(st.integers(1, 8))
-    ids = draw(st.lists(st.integers(0, max_id), min_size=size, max_size=size, unique=True))
-    edges = [(ids[k], ids[draw(st.integers(0, k - 1))]) for k in range(1, size)]
-    for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=6)):
-        if a != b:
-            edges.append((a, b))
-    layout = make_layout("random", edges, ids)
+    layout = draw(scattered_layouts(max_id))
+    ids = sorted(layout.qubits)
+    size = len(ids)
     n = draw(st.integers(1, min(size, 5)))
     mapping = Mapping(tuple(draw(st.permutations(ids))[:n]))
     pool = []

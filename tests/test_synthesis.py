@@ -78,17 +78,14 @@ def test_narrowing_case_table():
     one = narrow_gate_set(1)
     assert one.ctg3.kinds == frozenset(
         {GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG})
-    assert one.seg1 == frozenset({"quadrants", "octants"})
     assert one.candidates == (S, T, TD, SD)
 
     two = narrow_gate_set(2)
     assert two.ctg3.rz_bound == Fraction(1, 3)
     assert two.candidates == (T, TD)
-    assert two.seg1 == frozenset({"semicircles", "quadrants", "octants"})
 
     three = narrow_gate_set(3)
     assert three.ctg3.kinds == frozenset({GateKind.T, GateKind.TDG})
-    assert three.seg1 == frozenset({"octants"})
     assert three.candidates == (T, TD)
 
     seven = narrow_gate_set(7)
