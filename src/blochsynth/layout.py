@@ -2,14 +2,12 @@
 Coupling graphs, placement, and SWAP routing.
 
 A Layout is an undirected graph over physical qubit ids (file-loadable, or
-generated as a heavy-hex lattice).  Placement is one search, which embeds a
-forest of wire pairs so that every pair lands on adjacent ids.
-find_placement embeds the circuit's interaction pairs (a template interacts
-only through its target, a star), else the chain 0-1-...-(n-1), else any n
-connected qubits, and lets routing pay the SWAP cost honestly; find_chain
-is the chain case alone.  route inserts SWAPs greedily along shortest paths,
-moving the first endpoint toward the second, and reports the inserted count
-as XC.
+generated as a heavy-hex lattice).  find_placement puts the circuit's
+interaction pairs onto adjacent ids by one search (a forest on at most five
+wires), else the chain 0-1-...-(n-1), else any n connected qubits, and lets
+routing pay the SWAP cost honestly; find_chain is the chain case alone.
+route inserts SWAPs greedily along shortest paths, moving the first endpoint
+toward the second, and reports the inserted count as XC.
 """
 from __future__ import annotations
 
@@ -100,9 +98,6 @@ class Mapping:
     def n_qubits(self) -> int:
         return len(self.physical)
 
-    def phys(self, logical: int) -> int:
-        return self.physical[logical]
-
 
 def make_layout(name: str, edges, qubits=()) -> Layout:
     """Build a Layout from edge pairs (declared qubits optional)."""
@@ -183,10 +178,9 @@ def find_chain(layout: Layout, n: int) -> Mapping:
     """Map n wires onto the lexicographically smallest simple n-path."""
     if not 1 <= n <= 5:
         raise ValueError(f"chain placement supports 1..5 qubits, got {n}")
-    mapping = _embed(layout, n, zip(range(n), range(1, n)))
-    if mapping is None:
-        raise ValueError(f"no simple path of {n} qubits in {layout.name}")
-    return mapping
+    if mapping := _embed(layout, n, zip(range(n), range(1, n))):
+        return mapping
+    raise ValueError(f"no simple path of {n} qubits in {layout.name}")
 
 
 def find_placement(layout: Layout, c: Circuit) -> Mapping:
@@ -197,14 +191,15 @@ def find_placement(layout: Layout, c: Circuit) -> Mapping:
     breadth-first walk from the lowest id whose component is big enough.
     """
     n = c.n_qubits
-    mapping = (_embed(layout, n, {g.qubits for g in c.gates if len(g.qubits) == 2})
-               or _embed(layout, n, zip(range(n), range(1, n))))
-    if mapping is not None:
+    if mapping := (_embed(layout, n, {g.qubits for g in c.gates if len(g.qubits) == 2})
+                   or _embed(layout, n, zip(range(n), range(1, n)))):
         return mapping
-    for root in layout._adjacency:
-        walk = [root]
+    seen: set[int] = set()
+    for walk in ([q] for q in layout._adjacency if q not in seen):
+        seen.update(walk)
         for v in walk:
-            walk += [nb for nb in layout.neighbors(v) if nb not in walk]
+            seen.update(fresh := [nb for nb in layout.neighbors(v) if nb not in seen])
+            walk += fresh
             if len(walk) >= n:
                 return Mapping(tuple(walk[:n]))
     raise ValueError(f"no connected set of {n} qubits in {layout.name}")
@@ -213,38 +208,39 @@ def find_placement(layout: Layout, c: Circuit) -> Mapping:
 def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
     """The first injective placement of n wires that makes every pair adjacent.
 
-    None when there is none or the pairs close a cycle.  Wires are placed
-    breadth-first from the lowest wire, partners ascending, and wires with
-    no partner last; each takes the lowest free id adjacent to its parent's
-    (any id for a root) with at least as many neighbours as it has partners.
+    None when there is none, when the pairs close a cycle, or when over five
+    wires have partners.  Those go breadth-first from the lowest, partners
+    ascending, each to the lowest free id next to its parent's (any id for a
+    root) with enough neighbours; the rest then take the lowest free ids.
     """
     partners: list[set[int]] = [set() for _ in range(n)]
     for a, b in pairs:
         partners[a].add(b)
         partners[b].add(a)
     need = [len(p) for p in partners]
-    if sum(need) >= 2 * n or max(need, default=0) > layout.max_degree:
-        return None     # n edges close a cycle; a wire needs a degree no id has
+    paired = [w for w in range(n) if need[w]]
+    if len(paired) > 5 or n > len(layout.qubits) or max(need, default=0) > layout.max_degree:
+        return None     # too many wires to search, too few ids, or a degree no id has
+    if sum(need) >= 2 * n:
+        return None     # n pairs on n wires close a cycle: a quick exit before the walk
     parent: dict[int, int | None] = {}
     order: list[int] = []
-    for root in sorted(range(n), key=lambda w: (not need[w], w)):
-        if root in parent:
-            continue
-        parent[root] = None
-        tree = [root]
-        for w in tree:
-            for p in sorted(partners[w] - parent.keys()):
-                parent[p] = w
-                tree.append(p)
-        order += tree
-    if sum(need) != 2 * (n - list(parent.values()).count(None)):
-        return None
+    for root in paired:
+        if root not in parent:
+            parent[root] = None
+            order.append(root)
+            for w in order:     # earlier trees add nothing: their partners have parents
+                for p in sorted(partners[w] - parent.keys()):
+                    parent[p] = w
+                    order.append(p)
+    if sum(need) != 2 * (len(order) - list(parent.values()).count(None)):
+        return None     # more pairs than a forest has edges: a cycle
     adjacency = layout._adjacency
     phys = [0] * n
     used: set[int] = set()
 
     def place(k: int) -> bool:
-        if k == n:
+        if k == len(order):
             return True
         w, up = order[k], parent[order[k]]
         for q in adjacency if up is None else adjacency[phys[up]]:
@@ -256,7 +252,12 @@ def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
                 used.discard(q)
         return False
 
-    return Mapping(tuple(phys)) if place(0) else None
+    if not place(0):
+        return None
+    if len(paired) < n:
+        spare = (q for q in adjacency if q not in used)
+        phys = [phys[w] if need[w] else next(spare) for w in range(n)]
+    return Mapping(tuple(phys))
 
 
 def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:

@@ -54,7 +54,6 @@ def test_shortest_path():
 
 
 def test_mapping_validation():
-    assert Mapping((2, 0, 1)).phys(0) == 2
     assert Mapping((2, 0, 1)).n_qubits == 3
     with pytest.raises(ValueError, match="injective"):
         Mapping((0, 0))
@@ -173,15 +172,20 @@ def bundled(name):
     return parse_layout((data / f"{name}.layout").read_text(), name)
 
 
-def component(layout, q):
-    """The ids connected to q."""
-    seen, queue = {q}, deque([q])
+def breadth_first(layout, q):
+    """The ids connected to q, breadth-first from q, neighbours ascending."""
+    seen, queue = {q: None}, deque([q])
     while queue:
         for nb in layout.neighbors(queue.popleft()):
             if nb not in seen:
-                seen.add(nb)
+                seen[nb] = None
                 queue.append(nb)
-    return seen
+    return list(seen)
+
+
+def component(layout, q):
+    """The ids connected to q."""
+    return set(breadth_first(layout, q))
 
 
 def test_find_placement_falls_back_to_chain():
@@ -215,6 +219,28 @@ def test_a_layout_without_n_connected_qubits_is_a_one_line_error(capsys, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no connected set of 3 qubits in split\n"
+
+
+def test_placement_search_is_bounded():
+    # The search covers at most five wires with partners, so none of these
+    # inputs is exponential in its width or deep enough to overflow the stack.
+    with pytest.raises(ValueError, match="^no connected set of 13 qubits in path12$"):
+        find_placement(path_layout(12), Circuit(13, (h(0),)))
+    # wires with no partner take the lowest ids the search left free
+    assert find_placement(path_layout(4), Circuit(3, (cz(1, 2),))).physical == (2, 0, 1)
+    # four 5-chains and two adjacent degree-3 wires, which heavy-hex cannot
+    # host: 26 wires with partners go straight to the breadth-first walk
+    torino = bundled("ibm_torino")
+    gates = [cz(5 * k + i, 5 * k + i + 1) for k in range(4) for i in range(4)]
+    gates += [cz(20, 21), cz(20, 22), cz(20, 23), cz(21, 24), cz(21, 25)]
+    placed = find_placement(torino, Circuit(26, tuple(gates))).physical
+    assert placed == tuple(breadth_first(torino, 0)[:26])
+    # so do chains of more than five wires, however long
+    lattice = heavy_hex(20, 10)
+    chain = Circuit(1000, tuple(cz(i, i + 1) for i in range(999)))
+    assert find_placement(lattice, chain).physical == tuple(breadth_first(lattice, 0)[:1000])
+    assert find_placement(torino, Circuit(6, (cz(0, 1), cz(1, 2), cz(2, 3), cz(3, 4), cz(4, 5)))
+                          ).physical == (0, 1, 15, 2, 19, 3)
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, sizes in OPERATOR_RANGES.items()
