@@ -44,14 +44,6 @@ class Angle:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def zero(cls) -> "Angle":
-        return cls(0, 1)
-
-    @classmethod
-    def pi(cls) -> "Angle":
-        return cls(1, 1)
-
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -63,10 +55,6 @@ class Angle:
 
     def __float__(self) -> float:
         return self.num * math.pi / self.den
-
-    @property
-    def radians(self) -> float:
-        return float(self)
 
     def is_zero(self) -> bool:
         return self.num == 0

@@ -5,21 +5,19 @@ Contains:
     - GateKind: Enum of the 16 supported gate kinds
     - Gate: frozen (kind, qubits, angle) application
     - Circuit: frozen ordered gate sequence over n_qubits wires
-    - GateSet: decidable membership predicate over gates
 
 Everything here is an immutable value; circuits are built from the
 module-level constructors (h(0), cx(0, 1), rz(Angle(1, 4), 0), ...) and
 concatenated with `+`.  A gate is validated and hashed once, when it is
 built; a circuit range-checks all its gates in one C-level pass.  Z, S, T
-stay distinct kinds rather than collapsing to RZ so that gate-set narrowing
-can pattern-match on named gates; lowering to RZ happens only in the
-transpile pass.
+stay distinct kinds rather than collapsing to RZ so that circuits and trace
+tables keep the named gates; lowering to RZ happens only in the transpile
+pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from operator import attrgetter
 
 from .angles import Angle
@@ -139,39 +137,12 @@ class Circuit:
         return len(self.gates)
 
     def inverse(self) -> "Circuit":
-        return circuit_inverse(self)
+        """Reverse the gate order and replace each gate by its adjoint.
 
-
-def circuit_inverse(c: Circuit) -> Circuit:
-    """Reverse the gate order and replace each gate by its adjoint.
-
-    Exact up to a global +-1: a +-pi rotation's adjoint normalizes back to
-    +pi (angles are canonical mod 2pi, rotations are 4pi-periodic).
-    """
-    return Circuit(c.n_qubits, tuple(g.adjoint() for g in reversed(c.gates)))
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """A named set of gate kinds, optionally admitting bounded RZ rotations.
-
-    rz_bound is a Fraction of pi: RZ(theta) is a member iff 0 < |theta| <= rz_bound*pi.
-    """
-    name: str
-    kinds: frozenset[GateKind] = frozenset()
-    rz_bound: Fraction | None = None
-
-    def contains(self, g: Gate) -> bool:
-        if g.kind in self.kinds:
-            return True
-        if g.kind == GateKind.RZ and self.rz_bound is not None:
-            return abs(Fraction(g.angle.num, g.angle.den)) <= self.rz_bound
-        return False
-
-
-# The Clifford+T vocabulary (named kinds only; RZ/RX excluded by design).
-CLIFFORD_T = GateSet("clifford+t", frozenset(
-    k for k in GateKind if k not in (GateKind.RZ, GateKind.RX)))
+        Exact up to a global +-1: a +-pi rotation's adjoint normalizes back to
+        +pi (angles are canonical mod 2pi, rotations are 4pi-periodic).
+        """
+        return Circuit(self.n_qubits, tuple(g.adjoint() for g in reversed(self.gates)))
 
 
 def i(q: int) -> Gate: return Gate(GateKind.I, (q,))

@@ -106,6 +106,9 @@ def make_layout(name: str, edges, qubits=()) -> Layout:
     return Layout(name, ids, norm)
 
 
+MAX_HEAVY_HEX_SIDE = 64   # largest rows or cols: 64x64 has 20,995 qubits; ibm_torino is 6x3
+
+
 def heavy_hex(rows: int, cols: int) -> Layout:
     """Heavy-hex lattice: horizontal lines joined by alternating bridge qubits.
 
@@ -115,6 +118,8 @@ def heavy_hex(rows: int, cols: int) -> Layout:
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
+    if max(rows, cols) > MAX_HEAVY_HEX_SIDE:
+        raise ValueError(f"rows and cols must be <= {MAX_HEAVY_HEX_SIDE}, got {rows}x{cols}")
     width = 4 * cols + 3
     stride = width + cols + 1
     edges = []

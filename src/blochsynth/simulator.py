@@ -24,9 +24,9 @@ helpers (`unitary_of`, `apply`/`StateVector`, `gate_matrix`, the `equiv_*`
 predicates, `clifford_conjugate`, `reference_unitary` and
 `permutation_unitary`) import numpy on first use.
 
-Equivalence helpers come in three strengths: exact, up to one global phase,
-and up to one phase per column (the "relative phase" freedom that the
-symmetric templates exploit for Fredkin/Miller/CV constructions).
+Equivalence helpers come in two strengths: up to one global phase, and up
+to one phase per column (the "relative phase" freedom that the symmetric
+templates exploit for Fredkin/Miller/CV constructions).
 """
 from __future__ import annotations
 
@@ -258,11 +258,6 @@ def phases_match(got: Columns, want: Columns, n_qubits: int, per_column: bool,
                for k in got.keys() | want.keys())
 
 
-def equiv_exact(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    import numpy as np
-    return u.shape == v.shape and bool(np.max(np.abs(u - v)) <= tol)
-
-
 def equiv_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff u = lambda * v for one unit-modulus lambda (within tol elementwise)."""
     import numpy as np
@@ -331,9 +326,6 @@ class TruthTable:
     def __post_init__(self):
         if len(self.outputs) != 2 ** self.n_controls:
             raise ValueError(f"need {2 ** self.n_controls} outputs, got {len(self.outputs)}")
-
-    def complement(self) -> "TruthTable":
-        return TruthTable(self.n_controls, tuple(not o for o in self.outputs))
 
 
 def template_wires(n_qubits: int) -> tuple[tuple[int, ...], int]:

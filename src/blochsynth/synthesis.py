@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
 from .angles import ZERO, PI, Angle
-from .ir import (Circuit, GateKind, GateSet, DIAGONAL_NAMES, cx,
-                 diagonal_gate)
+from .ir import Circuit, DIAGONAL_NAMES, cx, diagonal_gate
 # perfbench/tracing.py wraps these two names here, so they stay importable.
 from .simulator import boolean_action, unitary_of  # noqa: F401
 from .simulator import (Columns, TruthTable, permutation_columns, phases_match,
@@ -68,35 +66,16 @@ class BooleanSpec:
         return TruthTable(self.n_controls, self.outputs)
 
 
-@dataclass(frozen=True)
-class NarrowingResult:
-    ctg3: GateSet
-    candidates: tuple[Angle, ...]   # descending; solutions inside them win, in this order
-
-
-def narrow_gate_set(n_cnot: int) -> NarrowingResult:
-    """The gate-set narrowing case table keyed on the template's CNOT count."""
+def narrow_gate_set(n_cnot: int) -> tuple[Angle, ...]:
+    """The narrowed (CTG3) theta candidates, descending, keyed on the template's CNOT count."""
     if n_cnot < 1:
         raise ValueError("need at least one CNOT")
     if n_cnot == 1:
-        return NarrowingResult(
-            GateSet("CTG3", frozenset({GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG})),
-            (Angle(1, 2), Angle(1, 4), Angle(-1, 4), Angle(-1, 2)))
-    if n_cnot == 2:
-        # Dyadic discretization of |theta| <= pi/3: step pi/4, leaving +-pi/4.
-        return NarrowingResult(
-            GateSet("CTG3", frozenset(), rz_bound=Fraction(1, 3)),
-            (Angle(1, 4), Angle(-1, 4)))
-    if n_cnot == 3:
-        return NarrowingResult(
-            GateSet("CTG3", frozenset({GateKind.T, GateKind.TDG})),
-            (Angle(1, 4), Angle(-1, 4)))
-    k = 1
-    while 2 ** k < n_cnot + 1:
-        k += 1
-    return NarrowingResult(
-        GateSet("CTG3", frozenset(), rz_bound=Fraction(1, n_cnot + 1)),
-        (Angle(1, 2 ** k), Angle(-1, 2 ** k)))
+        return (Angle(1, 2), Angle(1, 4), Angle(-1, 4), Angle(-1, 2))
+    # +-pi/2^k for the least 2^k >= n_cnot + 1: T and T† for two or three
+    # CNOTs (two: |theta| <= pi/3 discretised at step pi/4).
+    den = 2 ** n_cnot.bit_length()
+    return (Angle(1, den), Angle(-1, den))
 
 
 class Ax2(Enum):
@@ -113,8 +92,6 @@ class Ax2(Enum):
 class ThetaAssignment:
     thetas: tuple[Angle, ...]
     ax2: Ax2 = Ax2.I
-    sp1: GateKind = GateKind.H
-    sp2: GateKind = GateKind.H
 
 
 def _units(a: Angle) -> int:
@@ -149,7 +126,7 @@ def solve_phase_system(template: Template, targets: tuple[Angle, ...],
     if len(targets) != n_rows:
         raise ValueError(f"need {n_rows} target phases")
     want = [_units(a) % _MOD for a in targets]
-    cands = narrow_gate_set(template.n_cnots).candidates
+    cands = narrow_gate_set(template.n_cnots)
     digit = {_units(c) % _MOD: i for i, c in enumerate(cands)}
 
     solutions = []

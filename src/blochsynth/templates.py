@@ -12,8 +12,8 @@ recursive reflection
 where shift renames c_i -> c_(i+1).  So n=3 runs (c2, c1, c2) and n=4 runs
 (c3, c2, c3, c1, c3, c2, c3); the schedule is its own reverse.  Theta slots
 interleave: one before each CNOT and one after the last (count = CNOTs + 1).
-AX slots exist only for n >= 3; AX1 is always identity, AX2 carries the
-solver's 0-or-pi correction.
+The AX2 slot, which carries the solver's 0-or-pi correction, exists only for
+n >= 3.  An instance opens and closes with H on the target.
 """
 from __future__ import annotations
 
@@ -21,17 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .angles import Angle
-from .ir import Circuit, Gate, GateKind, diagonal_gate, cx, z
+from .ir import Circuit, Gate, diagonal_gate, cx, h, z
 from .simulator import template_wires
 
 
 class SlotKind(Enum):
-    SP1 = "sp1"
-    AX1 = "ax1"
     THETA = "theta"
     CNOT = "cnot"
     AX2 = "ax2"
-    SP2 = "sp2"
 
 
 @dataclass(frozen=True)
@@ -79,16 +76,13 @@ def make_template(n: int) -> Template:
     if not 2 <= n <= 5:
         raise ValueError(f"template supports 2..5 qubits, got {n}")
     controls, target = template_wires(n)
-    slots = [Slot(SlotKind.SP1)]
-    if n >= 3:
-        slots.append(Slot(SlotKind.AX1))
+    slots = []
     for k, control in enumerate(cnot_schedule(n), start=1):
         slots.append(Slot(SlotKind.THETA, k))
         slots.append(Slot(SlotKind.CNOT, control))
     slots.append(Slot(SlotKind.THETA, len(cnot_schedule(n)) + 1))
     if n >= 3:
         slots.append(Slot(SlotKind.AX2))
-    slots.append(Slot(SlotKind.SP2))
     return Template(n, controls, target, tuple(slots))
 
 
@@ -112,23 +106,18 @@ def slot_masks(template: Template) -> tuple[int, ...]:
 
 
 def instantiate(template: Template, thetas: tuple[Angle, ...],
-                ax2_phase: Angle | None = None,
-                sp1: GateKind = GateKind.H, sp2: GateKind = GateKind.H) -> Circuit:
-    """Fill the skeleton's slots and return the concrete circuit.
+                ax2_phase: Angle | None = None) -> Circuit:
+    """Fill the skeleton's slots between two H on the target; return the circuit.
 
     Thetas land as named gates (T, T†, S, S†, Z) when the angle matches one,
-    RZ otherwise; zero thetas and identity AX slots emit nothing.
+    RZ otherwise; zero thetas and an identity AX2 emit nothing.
     """
     if len(thetas) != template.n_thetas:
         raise ValueError(f"need {template.n_thetas} thetas, got {len(thetas)}")
     tgt = template.target_wire
-    gates: list[Gate] = []
+    gates: list[Gate] = [h(tgt)]
     for slot in template.slots:
-        if slot.kind == SlotKind.SP1:
-            gates.append(Gate(sp1, (tgt,)))
-        elif slot.kind == SlotKind.SP2:
-            gates.append(Gate(sp2, (tgt,)))
-        elif slot.kind == SlotKind.THETA:
+        if slot.kind == SlotKind.THETA:
             angle = thetas[slot.index - 1]
             if not angle.is_zero():
                 gates.append(diagonal_gate(angle, tgt))
@@ -137,5 +126,5 @@ def instantiate(template: Template, thetas: tuple[Angle, ...],
         elif slot.kind == SlotKind.AX2:
             if ax2_phase is not None and not ax2_phase.is_zero():
                 gates.append(z(tgt))
-        # AX1 is always identity.
+    gates.append(h(tgt))
     return Circuit(template.n_qubits, tuple(gates))

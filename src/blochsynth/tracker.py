@@ -128,11 +128,6 @@ def trace(c: Circuit, controls: int | str, target: int | None = None) -> Trace:
     return Trace(mask, tuple(events), phase, closed, output)
 
 
-def phase_track(c: Circuit, controls: int | str, target: int | None = None) -> tuple[PhasePoint, ...]:
-    """One PhasePoint per target-line event (the closing H excluded)."""
-    return trace(c, controls, target).points
-
-
 def render_trace_table(c: Circuit, target: int | None = None,
                        labels: tuple[str, ...] | None = None) -> str:
     """The full per-input trace table: one row per control assignment.

@@ -226,6 +226,14 @@ def test_cost_heavy_hex_matches_bundled_torino(capsys):
     assert "mapping=3,5,4,16" in bundled
 
 
+@pytest.mark.parametrize("size", ["65x65", "65x1", "1x65"])
+def test_heavy_hex_above_the_size_bound_is_a_usage_error(capsys, monkeypatch, size):
+    # Rejected with one line before any edge is generated.
+    monkeypatch.setattr(blochsynth.layout, "make_layout", None)
+    rc, out, err = run(capsys, "cost", "--op", "and", "--n", "3", "--heavy-hex", size)
+    assert (rc, out, err) == (2, "", f"error: rows and cols must be <= 64, got {size}\n")
+
+
 def test_cost_explicit_map_and_xc_mode(capsys):
     rc, out, _ = run(capsys, "cost", "--op", "and", "--n", "2",
                      "--heavy-hex", "1x1", "--map", "0,2")

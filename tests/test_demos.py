@@ -18,6 +18,16 @@ def test_the_readme_lists_every_demo():
     assert sorted(listed) == [path.name for path in DEMOS] and len(DEMOS) == 4
 
 
+def test_the_readme_api_table_names_exported_names():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("The main entry points"):].split("\n\n")[1]
+    names = re.findall(r"`([^`]+)`", table)
+    assert len(names) > 40
+    missing = [name for name in names
+               if not hasattr(blochsynth, name) or name not in blochsynth.__all__]
+    assert missing == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     # the child imports the very package under test, as acceptance test 10 does

@@ -5,16 +5,14 @@ import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import blochsynth
 from blochsynth.angles import PI_2, PI_4, ZERO, Angle
-from blochsynth.ir import (CLIFFORD_T, Circuit, Gate, GateKind, GateSet,
-                           circuit_inverse, cx, cz, diagonal_gate, h, rz, s,
-                           sdg, swap, sx, sxdg, t, tdg, x, z)
+from blochsynth.ir import (Circuit, Gate, GateKind, cx, cz, diagonal_gate, h,
+                           rz, s, sdg, swap, sx, sxdg, t, tdg, x, z)
 
 
 def test_kind_arity_and_angle_flags():
@@ -112,18 +110,7 @@ def test_circuit_validation_and_ops():
 
 def test_circuit_inverse_reverses_and_adjoints():
     c = Circuit(2, (h(0), t(0), cx(0, 1)))
-    inv = circuit_inverse(c)
-    assert inv.gates == (cx(0, 1), tdg(0), h(0))
-    assert c.inverse() == inv
-
-
-def test_gateset_membership():
-    assert CLIFFORD_T.contains(t(0))
-    assert CLIFFORD_T.contains(cx(0, 1))
-    assert not CLIFFORD_T.contains(rz(Angle(1, 16), 0))
-    bounded = GateSet("narrow", frozenset(), rz_bound=Fraction(1, 3))
-    assert bounded.contains(rz(PI_4, 0))
-    assert not bounded.contains(rz(PI_2, 0))
+    assert c.inverse().gates == (cx(0, 1), tdg(0), h(0))
 
 
 def test_diagonal_gate_picks_named_kinds():

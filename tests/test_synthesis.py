@@ -2,19 +2,17 @@
 import hashlib
 import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochsynth.angles import PI, ZERO, Angle
-from blochsynth.ir import GateKind
 from blochsynth.simulator import (boolean_action, equiv_up_to_relative_phase,
                                   permutation_unitary, reference_unitary,
                                   unitary_of)
 from blochsynth.synthesis import (Ax2, BooleanSpec, OPERATOR_RANGES,
-                                  MILLER_PERMUTATION, NarrowingResult,
+                                  MILLER_PERMUTATION,
                                   SynthVerificationError, ThetaAssignment,
                                   UnsatisfiableError, _walsh, fredkin_permutation,
                                   miller_permutation, narrow_gate_set,
@@ -75,30 +73,18 @@ def test_enumeration_order_breaks_the_and2_tie():
 
 
 def test_narrowing_case_table():
-    one = narrow_gate_set(1)
-    assert one.ctg3.kinds == frozenset(
-        {GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG})
-    assert one.candidates == (S, T, TD, SD)
-
-    two = narrow_gate_set(2)
-    assert two.ctg3.rz_bound == Fraction(1, 3)
-    assert two.candidates == (T, TD)
-
-    three = narrow_gate_set(3)
-    assert three.ctg3.kinds == frozenset({GateKind.T, GateKind.TDG})
-    assert three.candidates == (T, TD)
-
-    seven = narrow_gate_set(7)
-    assert seven.ctg3.rz_bound == Fraction(1, 8)
-    assert seven.candidates == (Angle(1, 8), Angle(-1, 8))
-    assert narrow_gate_set(15).candidates == (Angle(1, 16), Angle(-1, 16))
+    assert narrow_gate_set(1) == (S, T, TD, SD)
+    assert narrow_gate_set(2) == (T, TD)
+    assert narrow_gate_set(3) == (T, TD)
+    assert narrow_gate_set(7) == (Angle(1, 8), Angle(-1, 8))
+    assert narrow_gate_set(15) == (Angle(1, 16), Angle(-1, 16))
     with pytest.raises(ValueError):
         narrow_gate_set(0)
 
 
 def test_candidates_are_descending_and_nonzero():
     for n_cnot in (1, 2, 3, 7, 15):
-        cands = narrow_gate_set(n_cnot).candidates
+        cands = narrow_gate_set(n_cnot)
         floats = [float(a) for a in cands]
         assert floats == sorted(floats, reverse=True)
         assert all(not a.is_zero() for a in cands)
@@ -308,7 +294,7 @@ def enumerate_solve(template, targets, widen=False):
     transform and accepted if it checks and, unless widened, stays in the
     candidates or zero.
     """
-    cands = narrow_gate_set(template.n_cnots).candidates
+    cands = narrow_gate_set(template.n_cnots)
     axes = (ZERO, PI) if template.n_qubits >= 3 else (ZERO,)
     masks = slot_masks(template)
     signs = [[-1 if bin(x & m).count("1") % 2 else 1 for m in masks]
@@ -377,7 +363,7 @@ def test_solver_matches_the_enumeration_on_candidate_assignments():
     rng = random.Random(3)
     for n, count in ((2, 40), (3, 40), (4, 30), (5, 4)):
         template = make_template(n)
-        cands = narrow_gate_set(template.n_cnots).candidates
+        cands = narrow_gate_set(template.n_cnots)
         for k in range(count):
             pool = cands + ((ZERO,) if k % 2 else ())
             thetas = [rng.choice(pool) for _ in range(template.n_thetas)]
@@ -435,7 +421,7 @@ def sign_matrix_solve(template, targets, widen=False):
         raise ValueError(f"need {n_rows} target phases")
     sign = _sign_matrix(masks, n_rows)
     target_units = np.array([_units(a) for a in targets], dtype=np.int64) % 128
-    cands = narrow_gate_set(template.n_cnots).candidates
+    cands = narrow_gate_set(template.n_cnots)
     solutions = []
     for ax_units in (0, 64) if template.n_qubits >= 3 else (0,):
         rhs = (target_units - ax_units) % 128
@@ -504,10 +490,10 @@ def test_solver_back_check_holds_for_repeated_masks(case):
     # A schedule that repeats a parity gives repeated slot masks, so the
     # back-check must sum the thetas that share a mask, as sign @ units does.
     n, schedule, targets = case
-    slots = [Slot(SlotKind.SP1), Slot(SlotKind.AX1)]
+    slots = []
     for k, control in enumerate(schedule, start=1):
         slots += [Slot(SlotKind.THETA, k), Slot(SlotKind.CNOT, control)]
-    slots += [Slot(SlotKind.THETA, len(schedule) + 1), Slot(SlotKind.AX2), Slot(SlotKind.SP2)]
+    slots += [Slot(SlotKind.THETA, len(schedule) + 1), Slot(SlotKind.AX2)]
     base = make_template(n)
     template = Template(n, base.control_wires, base.target_wire, tuple(slots))
     _assert_matches_sign_matrix(template, tuple(targets))

@@ -29,9 +29,10 @@ def test_template_structure():
         assert tpl.n_cnots == 2 ** (n - 1) - 1
         assert tpl.n_thetas == tpl.n_cnots + 1
         kinds = [slot.kind for slot in tpl.slots]
-        assert kinds[0] == SlotKind.SP1 and kinds[-1] == SlotKind.SP2
-        assert (SlotKind.AX1 in kinds) == (n >= 3)
-        assert (SlotKind.AX2 in kinds) == (n >= 3)
+        expected = [SlotKind.THETA, SlotKind.CNOT] * tpl.n_cnots + [SlotKind.THETA]
+        assert kinds == expected + [SlotKind.AX2] * (n >= 3)
+        c = instantiate(tpl, (PI_4,) * tpl.n_thetas, PI)
+        assert c.gates[0] == h(tpl.target_wire) and c.gates[-1] == h(tpl.target_wire)
     with pytest.raises(ValueError):
         make_template(6)
     with pytest.raises(ValueError):
@@ -75,9 +76,3 @@ def test_instantiate_validates_theta_count():
     with pytest.raises(ValueError):
         instantiate(make_template(3), (PI_4,))
 
-
-def test_sp_overrides():
-    tpl = make_template(2)
-    c = instantiate(tpl, (ZERO, ZERO), sp1=GateKind.SX, sp2=GateKind.SXDG)
-    assert c.gates[0].kind == GateKind.SX
-    assert c.gates[-1].kind == GateKind.SXDG

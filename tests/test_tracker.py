@@ -3,8 +3,7 @@ import pytest
 
 from blochsynth.angles import PI, PI_2, ZERO, Angle
 from blochsynth.ir import Circuit, cx, cz, h, rz, t, tdg, x
-from blochsynth.tracker import (DASH, TrackError, phase_track,
-                                render_trace_table, trace)
+from blochsynth.tracker import DASH, TrackError, render_trace_table, trace
 
 TOFFOLI = Circuit(3, (h(1), tdg(1), cx(2, 1), t(1), cx(0, 1), tdg(1),
                       cx(2, 1), t(1), h(1)))
@@ -40,7 +39,7 @@ def test_trace_accepts_ket_strings():
 
 
 def test_phase_track_excludes_the_closing_h():
-    points = phase_track(TOFFOLI, 3)
+    points = trace(TOFFOLI, 3).points
     assert len(points) == 7
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochsynth.angles import PI, PI_2, ZERO, Angle
-from blochsynth.ir import (CLIFFORD_T, Circuit, Gate, GateKind, cx, cz, h, i,
+from blochsynth.ir import (Circuit, Gate, GateKind, cx, cz, h, i,
                            rz, s, swap, sx, t, x, y, z)
 from blochsynth.simulator import equiv_up_to_global_phase, unitary_of
 from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
@@ -101,7 +101,7 @@ def test_count_gates():
 
 
 def test_lowering_every_clifford_t_kind_is_exact():
-    for kind in sorted(CLIFFORD_T.kinds, key=lambda k: k.value):
+    for kind in sorted(set(GateKind) - {GateKind.RZ, GateKind.RX}, key=lambda k: k.value):
         qubits = (0,) if kind.n_qubits == 1 else (0, 1)
         c = Circuit(2, (Gate(kind, qubits),))
         out = canonicalize(rewrite_to_basis(c))
