@@ -3,13 +3,17 @@ Rewriting into a native gate basis and gate counting.
 
 rewrite_to_basis expands every non-native gate through a fixed rule table
 (H and CNOT through their {RZ, SX} / {H, CZ, H} sequences, SWAP through
-three CNOTs) until only basis members remain; canonicalize then merges
-adjacent same-wire RZ gates and drops identities without reordering across
-two-qubit gates, so N1/N2 counts are stable and reproducible.  Lowering is
-exact up to global phase only (S -> RZ(pi/2) already costs a phase).
+three CNOTs) until only basis members remain; canonicalize merges adjacent
+same-wire RZ gates and drops identities without reordering across two-qubit
+gates, so N1/N2 counts are stable and reproducible.  One walk, _lower, does
+both at once and is the only place the merge rule lives: the cost pipeline
+lowers with it, and canonicalize is the walk under a basis that holds every
+kind.  Lowering is exact up to global phase only (S -> RZ(pi/2) already
+costs a phase).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,11 +92,8 @@ _RULES = {
 }
 
 
-def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
-    """Expand gates through the rule table until only basis members remain.
-
-    Each distinct gate is expanded once per call; repeats reuse its expansion.
-    """
+def _expander(basis: NativeBasis):
+    """g -> its expansion into `basis`; each distinct gate is expanded once."""
     expansions: dict[Gate, tuple[Gate, ...]] = {}
 
     def expand(g: Gate) -> tuple[Gate, ...]:
@@ -107,12 +108,57 @@ def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
                 found = tuple(native for sub in rule(g) for native in expand(sub))
             expansions[g] = found
         return found
+    return expand
 
+
+def _lower(gates: Iterable[Gate], basis: NativeBasis) -> list[Gate]:
+    """canonicalize(rewrite_to_basis(...)) of `gates`, in one walk.
+
+    Each gate is expanded into the basis and its gates are merged as they
+    come: an RZ pends on its wire, summed exactly; any other gate first
+    flushes its wires' pending RZs, lowest wire first, dropping RZ(0); I is
+    dropped.  A lone RZ is kept as the same gate; only a merge builds a new
+    one.  Nothing is reordered across a gate.
+    """
+    rz_kind, i_kind = GateKind.RZ, GateKind.I
+    native = basis.single_qubit | basis.two_qubit
+    expand = _expander(basis)
     out: list[Gate] = []
-    for g in c.gates:
-        found = expansions.get(g)
-        out.extend(expand(g) if found is None else found)
-    return Circuit(c.n_qubits, tuple(out))
+    emit = out.append
+    pending: dict[int, Gate] = {}
+    for g in gates:
+        for s in ((g,) if g.kind in native else expand(g)):
+            kind = s.kind
+            if kind is rz_kind:
+                q = s.qubits[0]
+                prior = pending.get(q)
+                pending[q] = s if prior is None else rz(prior.angle + s.angle, q)
+            elif kind is not i_kind:
+                if pending:
+                    qubits = s.qubits
+                    for q in (sorted(qubits) if len(qubits) > 1 else qubits):
+                        prior = pending.pop(q, None)
+                        if prior is not None and not prior.angle.is_zero():
+                            emit(prior)
+                emit(s)
+    out.extend(p for _, p in sorted(pending.items()) if not p.angle.is_zero())
+    return out
+
+
+# Every kind is native here, so _lower only merges.
+_EVERY_KIND = NativeBasis(
+    "any",
+    frozenset(k for k in GateKind if k.n_qubits == 1),
+    frozenset(k for k in GateKind if k.n_qubits == 2))
+
+
+def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
+    """Expand gates through the rule table until only basis members remain.
+
+    Each distinct gate is expanded once per call; repeats reuse its expansion.
+    """
+    expand = _expander(basis)
+    return Circuit(c.n_qubits, tuple(s for g in c.gates for s in expand(g)))
 
 
 def canonicalize(c: Circuit) -> Circuit:
@@ -120,26 +166,7 @@ def canonicalize(c: Circuit) -> Circuit:
 
     A lone RZ is kept as the same gate; only a merge builds a new one.
     """
-    rz_kind, i_kind = GateKind.RZ, GateKind.I
-    out: list[Gate] = []
-    emit = out.append
-    pending: dict[int, Gate] = {}
-    for g in c.gates:
-        kind = g.kind
-        if kind is rz_kind:
-            q = g.qubits[0]
-            prior = pending.get(q)
-            pending[q] = g if prior is None else rz(prior.angle + g.angle, q)
-        elif kind is not i_kind:
-            if pending:   # flush this gate's wires, lowest first
-                qubits = g.qubits
-                for q in (sorted(qubits) if len(qubits) > 1 else qubits):
-                    prior = pending.pop(q, None)
-                    if prior is not None and not prior.angle.is_zero():
-                        emit(prior)
-            emit(g)
-    out.extend(g for _, g in sorted(pending.items()) if not g.angle.is_zero())
-    return Circuit(c.n_qubits, tuple(out))
+    return Circuit(c.n_qubits, _lower(c.gates, _EVERY_KIND))
 
 
 def count_gates(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> tuple[int, int]:

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from blochsynth.baselines import naive_synth
 from blochsynth.cli import parse_bundled
-from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport, _lowered_depth,
-                             cost_pipeline, depth, report_deviations, wtqc)
+from blochsynth.cost import (REFERENCE_COSTS, UNIT_WEIGHTS, CostReport, cost_pipeline,
+                             depth, report_deviations, wtqc)
 from blochsynth.angles import PI_2, Angle
 from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, rz, swap
 from blochsynth.layout import (Mapping, find_placement, heavy_hex, make_layout,
                                parse_layout, route)
-from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
+from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, _lower, canonicalize,
                                   rewrite_to_basis)
 from blochsynth.synthesis import OPERATOR_RANGES, synth
 
@@ -286,6 +286,11 @@ def _relowered_depth(routed, basis=DEFAULT_BASIS):
     return depth(canonicalize(rewrite_to_basis(routed, basis)))
 
 
+def _walk_depth(routed, basis=DEFAULT_BASIS):
+    """D of a SWAP-routed circuit as cost_pipeline takes it: over the walk's list."""
+    return depth(_lower(routed.gates, basis))
+
+
 @pytest.mark.parametrize("angle", [-PI_2, PI_2])
 @pytest.mark.parametrize("wire", [0, 1])
 def test_lowered_depth_merges_an_rz_into_the_swap(angle, wire):
@@ -295,7 +300,8 @@ def test_lowered_depth_merges_an_rz_into_the_swap(angle, wire):
     lowered = rewrite_to_basis(routed)
     merged = len(lowered.gates) - len(canonicalize(lowered).gates)
     assert merged == (2 if (wire, angle) == (1, -PI_2) else 1 if wire == 1 else 0)
-    assert _lowered_depth(routed, DEFAULT_BASIS) == _relowered_depth(routed)
+    assert len(_lower(routed.gates, DEFAULT_BASIS)) == len(lowered.gates) - merged
+    assert _walk_depth(routed) == _relowered_depth(routed)
 
 
 @pytest.mark.parametrize("angle", [-PI_2, PI_2, Angle(1, 4)])
@@ -304,7 +310,9 @@ def test_lowered_depth_flushes_a_trailing_rz_after_the_last_swap(angle, wire):
     # The last lowered gate on wire 1 is RZ(pi/2): a trailing RZ(-pi/2)
     # there merges to zero and is dropped when the walk ends.
     routed = Circuit(3, (cz(1, 2), swap(2, 1), swap(0, 1), rz(angle, wire)))
-    assert _lowered_depth(routed, DEFAULT_BASIS) == _relowered_depth(routed)
+    last = [g for g in _lower(routed.gates, DEFAULT_BASIS) if wire in g.qubits][-1]
+    assert (last.kind is GateKind.RZ) == ((wire, angle) != (1, -PI_2))
+    assert _walk_depth(routed) == _relowered_depth(routed)
 
 
 _SWAP_NATIVE = NativeBasis("h-rz-cx-swap", frozenset({GateKind.H, GateKind.RZ}),
@@ -313,7 +321,7 @@ _SWAP_NATIVE = NativeBasis("h-rz-cx-swap", frozenset({GateKind.H, GateKind.RZ}),
 
 def test_lowered_depth_with_a_native_swap():
     routed = Circuit(3, (rz(-PI_2, 1), swap(0, 1), rz(PI_2, 1), cx(1, 2), rz(PI_2, 0)))
-    assert _lowered_depth(routed, _SWAP_NATIVE) == _relowered_depth(routed, _SWAP_NATIVE) == 4
+    assert _walk_depth(routed, _SWAP_NATIVE) == _relowered_depth(routed, _SWAP_NATIVE) == 4
     path4 = make_layout("path4", [(0, 1), (1, 2), (2, 3)])
     c = Circuit(4, (h(0), cx(0, 3), rz(Angle(1, 4), 3), cx(3, 1), h(2), cx(2, 0), rz(PI_2, 1)))
     want, swaps = _timed_depth(c, path4, Mapping((0, 1, 2, 3)), _SWAP_NATIVE)

@@ -13,7 +13,7 @@ from blochsynth.simulator import (boolean_action, equiv_up_to_relative_phase,
                                   unitary_of)
 from blochsynth.synthesis import (Ax2, BooleanSpec, OPERATOR_RANGES,
                                   MILLER_PERMUTATION,
-                                  SynthVerificationError, ThetaAssignment,
+                                  ThetaAssignment,
                                   UnsatisfiableError, _walsh, fredkin_permutation,
                                   miller_permutation, narrow_gate_set,
                                   solve_phase_system, solve_thetas, synth,

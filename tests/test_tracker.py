@@ -1,7 +1,7 @@
 """Equator phase tracking against the analytical trace oracle."""
 import pytest
 
-from blochsynth.angles import PI, PI_2, ZERO, Angle
+from blochsynth.angles import PI, PI_2, Angle
 from blochsynth.ir import Circuit, cx, cz, h, rz, t, tdg, x
 from blochsynth.tracker import DASH, TrackError, render_trace_table, trace
 

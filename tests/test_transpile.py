@@ -7,7 +7,7 @@ from blochsynth.angles import PI, PI_2, ZERO, Angle
 from blochsynth.ir import (Circuit, Gate, GateKind, cx, cz, h, i,
                            rz, s, swap, sx, t, x, y, z)
 from blochsynth.simulator import equiv_up_to_global_phase, unitary_of
-from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, canonicalize,
+from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, _lower, canonicalize,
                                   count_gates, load_basis, parse_basis,
                                   rewrite_to_basis)
 
@@ -237,6 +237,18 @@ def test_lowering_matches_the_reference(basis, kinds, data):
     ours = lowering_outcome(
         lambda c, basis: canonicalize(rewrite_to_basis(c, basis)).gates, c, basis)
     assert ours == lowering_outcome(reference_lowering, c, basis)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), n_gates=st.integers(0, 40),
+       basis=st.sampled_from((DEFAULT_BASIS, H_RZ_CX)))
+def test_walk_equals_canonicalized_rewrite_on_random_circuits(seed, n, n_gates, basis):
+    # The full IR, SWAP included; under H_RZ_CX most draws hold a kind with
+    # no rule into it, and then both must fail on the same gate.
+    c = random_circuit(np.random.default_rng(seed), n, n_gates, with_rz=True)
+    ours = lowering_outcome(lambda c, b: tuple(_lower(c.gates, b)), c, basis)
+    assert ours == lowering_outcome(
+        lambda c, b: canonicalize(rewrite_to_basis(c, b)).gates, c, basis)
 
 
 def test_repeated_gates_reuse_one_expansion():
