@@ -11,7 +11,6 @@ The canonical range is (-pi, pi], i.e. num in (-den, den] after reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MAX_DENOMINATOR = 64
 
@@ -20,14 +19,55 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class Angle:
-    """An angle num/den * pi with den a power of two, normalized to (-pi, pi]."""
-    num: int
-    den: int = 1
+_store = object.__setattr__   # how an __init__ stores a field past Record's guard
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+
+class Record:
+    """An immutable value: ==, hash, repr and pickling over the fields in `_fields`.
+
+    A subclass names its fields and stores each once in `__init__` (with
+    `_set`, or `_store` where construction is hot); assignment afterwards
+    raises AttributeError.  Pickling and copying rebuild through `__init__`,
+    since the guard refuses to restore state attribute by attribute.  The
+    values built in bulk (Angle, Gate) spell out == on their fields.
+    """
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _store(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Angle(Record):
+    """An angle num/den * pi with den a power of two, normalized to (-pi, pi]."""
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
         if den == 0:
             raise ValueError("Angle denominator must be nonzero")
         if den < 0:
@@ -41,8 +81,16 @@ class Angle:
         num = num % (2 * den)          # [0, 2*den)
         if num > den:
             num -= 2 * den             # (-den, den]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _store(self, "num", num)
+        _store(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is Angle:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.num * other.den + other.num * self.den, self.den * other.den)

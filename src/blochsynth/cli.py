@@ -4,24 +4,37 @@ Command-line interface: synth, verify, trace, cost, and compare.
 Every subcommand prints a deterministic flat block (or the circuit/trace
 text itself), so identical invocations are byte-identical.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 internal error.
+
+Only what every command needs is imported here; placement, lowering, cost
+and the textbook baselines load inside the commands that use them.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .baselines import naive_synth
-from .cost import REFERENCE_COSTS, check_weights, cost_pipeline, report_deviations
-from .layout import Layout, Mapping, heavy_hex, load_layout, parse_layout
 # perfbench/tracing.py wraps these two names here, so they stay importable.
 from .simulator import boolean_action, unitary_of  # noqa: F401
 from .synthesis import (OPERATORS, SynthResult, SynthVerificationError, check,
                         synth_detailed, synth_table)
 from .textio import emit_circuit, parse_circuit
 from .tracker import render_trace_table
-from .transpile import DEFAULT_BASIS, load_basis
+
+if TYPE_CHECKING:
+    from .layout import Layout, Mapping
+
+# perfbench/tracing.py looks these names up here to wrap them; the commands
+# import them where they run.
+_LAZY = {"cost_pipeline": "cost", "naive_synth": "baselines"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,6 +122,7 @@ def _read_circuit(name: str):
 
 
 def _load_basis(args):
+    from .transpile import DEFAULT_BASIS, load_basis
     return DEFAULT_BASIS if args.basis is None else load_basis(_path(args.basis, "--basis"))
 
 
@@ -122,6 +136,9 @@ def _write(text: str, out: str | None) -> None:
 def _resolve_layout(args) -> Layout | None:
     if args.layout is not None and args.heavy_hex is not None:
         raise ValueError("--layout and --heavy-hex are mutually exclusive")
+    from importlib import resources
+
+    from .layout import heavy_hex, load_layout
     if args.heavy_hex is not None:
         rows, sep, cols = args.heavy_hex.partition("x")
         if not sep or not rows.isdigit() or not cols.isdigit():
@@ -140,11 +157,15 @@ def _resolve_layout(args) -> Layout | None:
 
 def parse_bundled(name: str) -> Layout:
     """Load one of the layouts shipped in the package data directory."""
+    from importlib import resources
+
+    from .layout import parse_layout
     text = (resources.files("blochsynth") / "data" / f"{name}.layout").read_text()
     return parse_layout(text, name=name)
 
 
 def _parse_weights(text: str) -> tuple[float, float, float, float]:
+    from .cost import check_weights
     try:
         weights = tuple(float(p) for p in text.split(","))
     except ValueError:
@@ -155,6 +176,7 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_map(text: str) -> Mapping:
+    from .layout import Mapping
     try:
         ids = tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -212,6 +234,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from .cost import REFERENCE_COSTS, cost_pipeline, report_deviations
     lines = []
     if args.circuit is not None:
         circuit = _read_circuit(args.circuit)
@@ -247,6 +270,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .baselines import naive_synth
+    from .cost import cost_pipeline
     op, n = _require_op(args)
     layout = _resolve_layout(args)
     basis = _load_basis(args)

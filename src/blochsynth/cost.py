@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 
+from .angles import Record
 from .ir import Circuit, Gate
 from .layout import Layout, Mapping, find_placement, route
 from .transpile import DEFAULT_BASIS, NativeBasis, _lower, count_gates
@@ -73,14 +73,13 @@ def check_weights(weights: tuple[float, ...]) -> tuple[float, ...]:
     return weights
 
 
-@dataclass(frozen=True)
-class CostReport:
-    n1: int
-    n2: int
-    xc: int
-    d: int
-    weights: tuple[float, float, float, float] = UNIT_WEIGHTS
-    mapping: Mapping | None = None
+class CostReport(Record):
+    __slots__ = _fields = ("n1", "n2", "xc", "d", "weights", "mapping")
+
+    def __init__(self, n1: int, n2: int, xc: int, d: int,
+                 weights: tuple[float, float, float, float] = UNIT_WEIGHTS,
+                 mapping: Mapping | None = None):
+        self._set(n1, n2, xc, d, weights, mapping)
 
     @property
     def counts(self) -> tuple[int, int, int, int]:

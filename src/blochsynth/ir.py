@@ -16,11 +16,10 @@ pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 
-from .angles import Angle
+from .angles import Angle, Record, _store
 
 
 class GateKind(Enum):
@@ -78,33 +77,35 @@ DIAGONAL_NAMES = {GateKind.Z: "Z", GateKind.S: "S", GateKind.SDG: "S†",
                   GateKind.T: "T", GateKind.TDG: "T†"}
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    kind: GateKind
-    qubits: tuple[int, ...]
-    angle: Angle | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+class Gate(Record):
+    __slots__ = ("kind", "qubits", "angle", "_hash")
+    _fields = ("kind", "qubits", "angle")
 
-    def __post_init__(self):
-        kind, qubits = self.kind, self.qubits
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], angle: Angle | None = None):
         if len(qubits) != kind.n_qubits:
             raise ValueError(f"{kind.value} takes {kind.n_qubits} qubit(s), got {qubits}")
         if min(qubits) < 0:
             raise ValueError(f"negative qubit index in {qubits}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"{kind.value} requires distinct qubits, got {qubits}")
-        if kind.takes_angle != (self.angle is not None):
+        if kind.takes_angle != (angle is not None):
             raise ValueError(f"{kind.value} {'requires' if kind.takes_angle else 'does not take'} an angle")
         if kind.is_symmetric and qubits[0] > qubits[1]:
             qubits = (qubits[1], qubits[0])
-            object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "_hash", hash((kind, qubits, self.angle)))
+        _store(self, "kind", kind)
+        _store(self, "qubits", qubits)
+        _store(self, "angle", angle)
+        # Cached, and rebuilt by __reduce__ rather than restored: a hash is
+        # only valid in the process that computed it.
+        _store(self, "_hash", hash((kind, qubits, angle)))
+
+    def __eq__(self, other):
+        if other.__class__ is Gate:
+            return (self.kind, self.qubits, self.angle) == (other.kind, other.qubits, other.angle)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):   # rebuild, not restore: the hash is only valid in its own process
-        return Gate, (self.kind, self.qubits, self.angle)
 
     def adjoint(self) -> "Gate":
         """The inverse gate: named adjoint pair, negated angle, or self."""
@@ -115,18 +116,17 @@ class Gate:
         return self
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...] = ()
+class Circuit(Record):
+    __slots__ = _fields = ("n_qubits", "gates")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...] = ()):
+        if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.gates and max(map(max, map(attrgetter("qubits"), self.gates))) >= self.n_qubits:
-            g = next(g for g in self.gates if max(g.qubits) >= self.n_qubits)
-            raise ValueError(f"gate {g.kind.value} {g.qubits} out of range for {self.n_qubits} qubits")
+        gates = tuple(gates)
+        if gates and max(map(max, map(attrgetter("qubits"), gates))) >= n_qubits:
+            g = next(g for g in gates if max(g.qubits) >= n_qubits)
+            raise ValueError(f"gate {g.kind.value} {g.qubits} out of range for {n_qubits} qubits")
+        self._set(n_qubits, gates)
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.n_qubits != other.n_qubits:

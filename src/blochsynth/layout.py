@@ -12,10 +12,10 @@ toward the second, and reports the inserted count as XC.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .angles import Record
 from .ir import Circuit, Gate, swap
 
 
@@ -27,20 +27,18 @@ class LayoutParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Layout:
-    name: str
-    qubits: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+class Layout(Record):
+    _fields = ("name", "qubits", "edges")   # no __slots__: cached_property needs __dict__
 
-    def __post_init__(self):
-        for a, b in self.edges:
+    def __init__(self, name: str, qubits: frozenset[int], edges: frozenset[tuple[int, int]]):
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"self-edge on qubit {a}")
             if a > b:
                 raise ValueError(f"edge ({a},{b}) must be stored low-high")
-            if a not in self.qubits or b not in self.qubits:
+            if a not in qubits or b not in qubits:
                 raise ValueError(f"edge ({a},{b}) references undeclared qubits")
+        self._set(name, qubits, edges)
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -84,15 +82,15 @@ class Layout:
         raise ValueError(f"qubits {src} and {dst} are disconnected in {self.name}")
 
 
-@dataclass(frozen=True)
-class Mapping:
-    physical: tuple[int, ...]   # index = logical wire
+class Mapping(Record):
+    __slots__ = _fields = ("physical",)   # index = logical wire
 
-    def __post_init__(self):
-        if len(set(self.physical)) != len(self.physical):
+    def __init__(self, physical: tuple[int, ...]):
+        if len(set(physical)) != len(physical):
             raise ValueError("mapping must be injective")
-        if any(p < 0 for p in self.physical):
+        if any(p < 0 for p in physical):
             raise ValueError("physical ids must be non-negative")
+        self._set(physical)
 
     @property
     def n_qubits(self) -> int:
@@ -183,7 +181,7 @@ def find_chain(layout: Layout, n: int) -> Mapping:
     """Map n wires onto the lexicographically smallest simple n-path."""
     if not 1 <= n <= 5:
         raise ValueError(f"chain placement supports 1..5 qubits, got {n}")
-    if mapping := _embed(layout, n, zip(range(n), range(1, n))):
+    if n <= len(layout.qubits) and (mapping := _embed(layout, n, zip(range(n), range(1, n)))):
         return mapping
     raise ValueError(f"no simple path of {n} qubits in {layout.name}")
 
@@ -196,6 +194,8 @@ def find_placement(layout: Layout, c: Circuit) -> Mapping:
     breadth-first walk from the lowest id whose component is big enough.
     """
     n = c.n_qubits
+    if n > len(layout.qubits):  # before any per-wire work: n comes from the circuit file
+        raise ValueError(f"no connected set of {n} qubits in {layout.name}")
     if mapping := (_embed(layout, n, {g.qubits for g in c.gates if len(g.qubits) == 2})
                    or _embed(layout, n, zip(range(n), range(1, n)))):
         return mapping
@@ -217,6 +217,7 @@ def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
     wires have partners.  Those go breadth-first from the lowest, partners
     ascending, each to the lowest free id next to its parent's (any id for a
     root) with enough neighbours; the rest then take the lowest free ids.
+    The caller checks that the layout has at least n ids.
     """
     partners: list[set[int]] = [set() for _ in range(n)]
     for a, b in pairs:
@@ -224,8 +225,8 @@ def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
         partners[b].add(a)
     need = [len(p) for p in partners]
     paired = [w for w in range(n) if need[w]]
-    if len(paired) > 5 or n > len(layout.qubits) or max(need, default=0) > layout.max_degree:
-        return None     # too many wires to search, too few ids, or a degree no id has
+    if len(paired) > 5 or max(need, default=0) > layout.max_degree:
+        return None     # too many wires to search, or a degree no id has
     if sum(need) >= 2 * n:
         return None     # n pairs on n wires close a cycle: a quick exit before the walk
     parent: dict[int, int | None] = {}

@@ -31,11 +31,11 @@ templates exploit for Fredkin/Miller/CV constructions).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, pi, sin, sqrt
 from typing import TYPE_CHECKING
 
+from .angles import Record
 from .ir import Circuit, Gate, GateKind
 
 if TYPE_CHECKING:
@@ -187,18 +187,16 @@ def _dense(columns: Columns, n_qubits: int, n_rows: int, n_columns: int) -> np.n
     return u
 
 
-@dataclass(frozen=True)
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
+class StateVector(Record):
+    __slots__ = _fields = ("n_qubits", "amplitudes")
 
-    def __post_init__(self):
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         import numpy as np
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != 2 ** self.n_qubits:
-            raise ValueError(f"need {2 ** self.n_qubits} amplitudes, got {amps.shape[0]}")
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amps.shape[0] != 2 ** n_qubits:
+            raise ValueError(f"need {2 ** n_qubits} amplitudes, got {amps.shape[0]}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(n_qubits, amps)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
@@ -291,10 +289,11 @@ def equiv_up_to_relative_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) 
     return True
 
 
-@dataclass(frozen=True)
-class SignedPauli:
-    sign: int            # +1 or -1
-    kind: GateKind       # X, Y, or Z
+class SignedPauli(Record):
+    __slots__ = _fields = ("sign", "kind")
+
+    def __init__(self, sign: int, kind: GateKind):
+        self._set(sign, kind)   # sign +1 or -1; kind X, Y, or Z
 
     def __str__(self) -> str:
         return f"{'+' if self.sign > 0 else '-'}{self.kind.value.upper()}"
@@ -318,14 +317,13 @@ def clifford_conjugate(c: Circuit, pauli: Circuit | Gate | GateKind, tol: float 
     raise ValueError("conjugation result is not a signed Pauli (C is not Clifford?)")
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    n_controls: int
-    outputs: tuple[bool, ...]
+class TruthTable(Record):
+    __slots__ = _fields = ("n_controls", "outputs")
 
-    def __post_init__(self):
-        if len(self.outputs) != 2 ** self.n_controls:
-            raise ValueError(f"need {2 ** self.n_controls} outputs, got {len(self.outputs)}")
+    def __init__(self, n_controls: int, outputs: tuple[bool, ...]):
+        if len(outputs) != 2 ** n_controls:
+            raise ValueError(f"need {2 ** n_controls} outputs, got {len(outputs)}")
+        self._set(n_controls, outputs)
 
 
 def template_wires(n_qubits: int) -> tuple[tuple[int, ...], int]:

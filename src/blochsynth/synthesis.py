@@ -21,12 +21,11 @@ All arithmetic runs on ints in units of pi/64 (mod 128): no floats, no matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .angles import ZERO, PI, Angle
+from .angles import ZERO, PI, Angle, Record
 from .ir import Circuit, DIAGONAL_NAMES, cx, diagonal_gate
 # perfbench/tracing.py wraps these two names here, so they stay importable.
 from .simulator import boolean_action, unitary_of  # noqa: F401
@@ -46,14 +45,13 @@ class SynthVerificationError(RuntimeError):
     """A synthesized circuit failed its own post-hoc verification (a bug)."""
 
 
-@dataclass(frozen=True)
-class BooleanSpec:
-    n_controls: int
-    outputs: tuple[bool, ...]
+class BooleanSpec(Record):
+    __slots__ = _fields = ("n_controls", "outputs")
 
-    def __post_init__(self):
-        if len(self.outputs) != 2 ** self.n_controls:
-            raise ValueError(f"need {2 ** self.n_controls} outputs")
+    def __init__(self, n_controls: int, outputs: tuple[bool, ...]):
+        if len(outputs) != 2 ** n_controls:
+            raise ValueError(f"need {2 ** n_controls} outputs")
+        self._set(n_controls, outputs)
 
     @classmethod
     def named(cls, kind: str, n_controls: int) -> "BooleanSpec":
@@ -88,10 +86,11 @@ class Ax2(Enum):
         return ZERO if self == Ax2.I else PI
 
 
-@dataclass(frozen=True)
-class ThetaAssignment:
-    thetas: tuple[Angle, ...]
-    ax2: Ax2 = Ax2.I
+class ThetaAssignment(Record):
+    __slots__ = _fields = ("thetas", "ax2")
+
+    def __init__(self, thetas: tuple[Angle, ...], ax2: Ax2 = Ax2.I):
+        self._set(thetas, ax2)
 
 
 def _units(a: Angle) -> int:
@@ -183,14 +182,12 @@ def solve_thetas(template: Template, spec: BooleanSpec, widen: bool = False) -> 
     return ThetaAssignment(thetas, ax2)
 
 
-@dataclass(frozen=True)
-class SynthResult:
-    kind: str
-    n_qubits: int
-    circuit: Circuit
-    template: Template
-    assignment: ThetaAssignment
-    notes: tuple[str, ...] = ()
+class SynthResult(Record):
+    __slots__ = _fields = ("kind", "n_qubits", "circuit", "template", "assignment", "notes")
+
+    def __init__(self, kind: str, n_qubits: int, circuit: Circuit, template: Template,
+                 assignment: ThetaAssignment, notes: tuple[str, ...] = ()):
+        self._set(kind, n_qubits, circuit, template, assignment, notes)
 
     def trace_labels(self) -> tuple[str, ...]:
         """Column labels for the trace table, one per emitted target event."""
@@ -314,8 +311,7 @@ def miller_permutation(n: int) -> tuple[int, ...]:
     return tuple(MILLER_PERMUTATION[index & 7] | (index & ~7) for index in range(2 ** n))
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Record):
     """One named operator: its sizes, template design and exact target.
 
     A Boolean operator is the AND of its control literals, complemented
@@ -324,11 +320,13 @@ class Operator:
     other operator leaves `inverted` None and gives its target's sparse
     `columns`.
     """
-    sizes: range | tuple[int, ...]
-    design: Callable[[str, int], SynthResult]
-    columns: Callable[[int], Columns] | None = None
-    inverted: slice | None = None
-    complemented: bool = False
+    __slots__ = _fields = ("sizes", "design", "columns", "inverted", "complemented")
+
+    def __init__(self, sizes: range | tuple[int, ...],
+                 design: Callable[[str, int], SynthResult],
+                 columns: Callable[[int], Columns] | None = None,
+                 inverted: slice | None = None, complemented: bool = False):
+        self._set(sizes, design, columns, inverted, complemented)
 
     def outputs(self, n_controls: int) -> tuple[bool, ...]:
         """The Boolean truth table, row x = control assignment (c1 = bit 0)."""

@@ -17,10 +17,9 @@ n >= 3.  An instance opens and closes with H on the target.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .angles import Angle
+from .angles import Angle, Record
 from .ir import Circuit, Gate, diagonal_gate, cx, h, z
 from .simulator import template_wires
 
@@ -31,18 +30,19 @@ class SlotKind(Enum):
     AX2 = "ax2"
 
 
-@dataclass(frozen=True)
-class Slot:
-    kind: SlotKind
-    index: int = 0   # theta number or control number (both 1-based); 0 otherwise
+class Slot(Record):
+    __slots__ = _fields = ("kind", "index")
+
+    def __init__(self, kind: SlotKind, index: int = 0):
+        self._set(kind, index)   # index: theta or control number (both 1-based); 0 otherwise
 
 
-@dataclass(frozen=True)
-class Template:
-    n_qubits: int
-    control_wires: tuple[int, ...]
-    target_wire: int
-    slots: tuple[Slot, ...]
+class Template(Record):
+    __slots__ = _fields = ("n_qubits", "control_wires", "target_wire", "slots")
+
+    def __init__(self, n_qubits: int, control_wires: tuple[int, ...], target_wire: int,
+                 slots: tuple[Slot, ...]):
+        self._set(n_qubits, control_wires, target_wire, slots)
 
     @property
     def schedule(self) -> tuple[int, ...]:

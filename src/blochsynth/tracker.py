@@ -16,9 +16,7 @@ verdict must match full statevector simulation on every control input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .angles import ZERO, PI, Angle
+from .angles import ZERO, PI, Angle, Record
 from .ir import Circuit, GateKind, DIAGONAL_NAMES, DIAGONAL_PHASES
 from .simulator import MAX_SIM_QUBITS
 
@@ -31,28 +29,33 @@ class TrackError(ValueError):
     """The circuit is not equator-trackable."""
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    phase: Angle
+class PhasePoint(Record):
+    __slots__ = _fields = ("phase",)
+
+    def __init__(self, phase: Angle):
+        self._set(phase)
 
     def __str__(self) -> str:
         return self.phase.pi_string()
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    label: str           # "θ(t)", "CNOT(2)", "AX2", ...
-    point: PhasePoint
-    applied: bool        # False only for a control-off CNOT/CZ
+class TraceEvent(Record):
+    __slots__ = _fields = ("label", "point", "applied")
+
+    def __init__(self, label: str, point: PhasePoint, applied: bool):
+        # label "θ(t)", "CNOT(2)", "AX2", ...; applied is False only for a
+        # control-off CNOT/CZ.
+        self._set(label, point, applied)
 
 
-@dataclass(frozen=True)
-class Trace:
-    controls: int                   # bitmask, bit i-1 = control_i
-    events: tuple[TraceEvent, ...]
-    final_phase: Angle
-    closed: bool                    # second H seen
-    output: bool | None             # None when final phase is not 0 or pi
+class Trace(Record):
+    __slots__ = _fields = ("controls", "events", "final_phase", "closed", "output")
+
+    def __init__(self, controls: int, events: tuple[TraceEvent, ...], final_phase: Angle,
+                 closed: bool, output: bool | None):
+        # controls: bitmask, bit i-1 = control_i; closed: second H seen;
+        # output: None when the final phase is not 0 or pi.
+        self._set(controls, events, final_phase, closed, output)
 
     @property
     def points(self) -> tuple[PhasePoint, ...]:

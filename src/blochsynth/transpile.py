@@ -14,27 +14,25 @@ costs a phase).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
-from .angles import PI_2
+from .angles import PI_2, Record
 from .ir import (Circuit, Gate, GateKind, DIAGONAL_PHASES,
                  cx, cz, rz, sx, x, z)
 
 
-@dataclass(frozen=True)
-class NativeBasis:
-    name: str
-    single_qubit: frozenset[GateKind]
-    two_qubit: frozenset[GateKind]
+class NativeBasis(Record):
+    __slots__ = _fields = ("name", "single_qubit", "two_qubit")
 
-    def __post_init__(self):
-        for kind in self.single_qubit:
+    def __init__(self, name: str, single_qubit: frozenset[GateKind],
+                 two_qubit: frozenset[GateKind]):
+        for kind in single_qubit:
             if kind.n_qubits != 1:
                 raise ValueError(f"{kind.value} is not a single-qubit gate")
-        for kind in self.two_qubit:
+        for kind in two_qubit:
             if kind.n_qubits != 2:
                 raise ValueError(f"{kind.value} is not a two-qubit gate")
+        self._set(name, single_qubit, two_qubit)
 
     def contains(self, gate: Gate) -> bool:
         return gate.kind in (self.single_qubit if gate.kind.n_qubits == 1

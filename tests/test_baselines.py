@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from blochsynth.angles import PI, PI_2, Angle
+from blochsynth.angles import PI_2, Angle
 from blochsynth.baselines import (controlled_phase, naive_synth)
 from blochsynth.ir import Circuit, GateKind
 from blochsynth.simulator import (boolean_action, equiv_up_to_global_phase,

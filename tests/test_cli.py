@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -156,8 +155,9 @@ def test_verify_relative_phase_operators(capsys, tmp_path):
 
 
 def test_wrong_design_is_an_internal_error(capsys, monkeypatch):
-    wrong = replace(synthesis.OPERATORS["and"],
-                    design=lambda kind, n: synthesis.synth_detailed("nor", n))
+    right = synthesis.OPERATORS["and"]
+    wrong = synthesis.Operator(right.sizes, lambda kind, n: synthesis.synth_detailed("nor", n),
+                               right.columns, right.inverted, right.complemented)
     monkeypatch.setitem(synthesis.OPERATORS, "and", wrong)
     with pytest.raises(synthesis.SynthVerificationError,
                        match=r"^and\(3\): truth table mismatch$"):
@@ -370,6 +370,18 @@ def test_parse_bundled():
 
 # Run in a fresh interpreter: the package import and each command in turn,
 # checking after each that numpy was never loaded.
+def _run_probe(probe: str, commands: list[list[str]]) -> list[str]:
+    """Run a probe script over the commands in a fresh interpreter; return what it found."""
+    package_root = str(Path(blochsynth.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 _NUMPY_PROBE = """\
 import contextlib, io, json, sys
 import blochsynth, blochsynth.cli
@@ -399,11 +411,39 @@ def test_no_command_loads_numpy(tmp_path):
         ["compare", "--op", "miller", "--n", "4", "--layout", "ibm_torino"],
         ["compare", "--op", "cv", "--n", "4", "--layout", "ibm_torino"],
     ]
-    package_root = str(Path(blochsynth.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    assert _run_probe(_NUMPY_PROBE, commands) == []
+
+
+# Importing the package loads none of its submodules, no command loads
+# dataclasses, and synth, verify and trace (run first here, since a module
+# stays loaded) load no placement, lowering or cost code.
+_STARTUP_PROBE = """\
+import contextlib, io, json, sys
+import blochsynth
+found = [f"import blochsynth: {m}" for m in sys.modules if m.startswith("blochsynth.")]
+import blochsynth.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = blochsynth.cli.main(argv)
+    unwanted = ["dataclasses"]
+    if argv[0] in ("synth", "verify", "trace"):
+        unwanted += ["blochsynth.cost", "blochsynth.layout", "blochsynth.transpile"]
+    found += [f"{' '.join(argv)}: {m}" for m in unwanted if m in sys.modules]
+    if rc != 0:
+        found.append(f"{' '.join(argv)}: exit {rc}")
+print(json.dumps(found))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    circuit = str(tmp_path / "and4.txt")
+    commands = [
+        ["synth", "--op", "and", "--n", "4", "--out", circuit],
+        ["synth", "--table", "0,1,1,0"],
+        ["verify", circuit, "--op", "and", "--n", "4"],
+        ["trace", "--op", "and", "--n", "3"],
+        ["trace", circuit],
+        ["cost", "--op", "and", "--n", "3", "--layout", "ibm_torino"],
+        ["compare", "--op", "and", "--n", "3", "--layout", "ibm_torino"],
+    ]
+    assert _run_probe(_STARTUP_PROBE, commands) == []

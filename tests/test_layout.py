@@ -1,4 +1,5 @@
 """Coupling graphs, heavy-hex generation, placement, and SWAP routing."""
+import tracemalloc
 from collections import deque
 from importlib import resources
 from itertools import permutations
@@ -219,6 +220,25 @@ def test_a_layout_without_n_connected_qubits_is_a_one_line_error(capsys, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no connected set of 3 qubits in split\n"
+
+
+def test_a_circuit_wider_than_the_layout_fails_before_any_per_wire_work(capsys, tmp_path):
+    # 10**8 wires: a per-wire list alone would take gigabytes.
+    torino, wide = bundled("ibm_torino"), Circuit(10 ** 8, (h(0), cx(0, 10 ** 8 - 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^no connected set of 100000000 qubits in ibm_torino$"):
+            find_placement(torino, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    path = tmp_path / "wide.txt"
+    path.write_text("qubits 100000000\nh 0\ncx 0 99999999\n")
+    assert main(["cost", str(path), "--layout", "ibm_torino"]) == 2
+    assert capsys.readouterr().err == "error: no connected set of 100000000 qubits in ibm_torino\n"
+    with pytest.raises(ValueError, match="^no simple path of 1 qubits in empty$"):
+        find_chain(make_layout("empty", []), 1)
 
 
 def test_placement_search_is_bounded():
