@@ -20,7 +20,7 @@ _EXPORTS = {
                  "boolean_action clifford_conjugate equiv_up_to_global_phase "
                  "equiv_up_to_relative_phase permutation_unitary reference_unitary "
                  "template_wires",
-    "templates": "SlotKind Slot Template cnot_schedule make_template slot_masks instantiate",
+    "templates": "Template cnot_schedule make_template slot_masks instantiate",
     "tracker": "TrackError PhasePoint TraceEvent Trace trace render_trace_table",
     "synthesis": "Ax2 BooleanSpec ThetaAssignment SynthResult UnsatisfiableError "
                  "SynthVerificationError narrow_gate_set solve_phase_system solve_thetas "

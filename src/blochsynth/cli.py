@@ -281,11 +281,10 @@ def _cmd_compare(args) -> int:
                            ("naive", naive_synth(op, n))):
         reports[label] = cost_pipeline(circuit, layout, None, weights=weights,
                                        xc_mode=args.xc_mode, basis=basis)
-    print(f"op={op}")
-    print(f"n={n}")
+    lines = [f"op={op}", f"n={n}"]
     if layout is not None:
-        print(f"layout={layout.name}")
-    print(f"weights={_format_weights(weights)}")
+        lines.append(f"layout={layout.name}")
+    lines.append(f"weights={_format_weights(weights)}")
     rows = [("metric", "bsa", "naive")]
     for name, bsa_value, naive_value in zip(("n1", "n2", "xc", "d"),
                                             reports["bsa"].counts,
@@ -293,8 +292,8 @@ def _cmd_compare(args) -> int:
         rows.append((name, str(bsa_value), str(naive_value)))
     rows.append(("wtqc", f"{reports['bsa'].wtqc:g}", f"{reports['naive'].wtqc:g}"))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    print("\n".join(lines))
     return 0
 
 

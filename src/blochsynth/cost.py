@@ -60,10 +60,13 @@ def depth(c: Circuit | Sequence[Gate]) -> int:
 
 def wtqc(counts: tuple[int, int, int, int],
          weights: tuple[float, float, float, float] = UNIT_WEIGHTS) -> float:
-    """The weighted sum W1*N1 + W2*N2 + W3*XC + W4*D."""
+    """The weighted sum W1*N1 + W2*N2 + W3*XC + W4*D; ValueError if it overflows."""
     if len(counts) != 4 or len(weights) != 4:
         raise ValueError("need exactly four counts and four weights")
-    return float(sum(w * x for w, x in zip(check_weights(weights), counts)))
+    total = float(sum(w * x for w, x in zip(check_weights(weights), counts)))
+    if not math.isfinite(total):
+        raise ValueError(f"weighted sum overflows with weights {weights}")
+    return total
 
 
 def check_weights(weights: tuple[float, ...]) -> tuple[float, ...]:

@@ -198,6 +198,10 @@ class StateVector(Record):
         amps.setflags(write=False)
         self._set(n_qubits, amps)
 
+    def _values(self) -> tuple:
+        # == and hash by amplitude value: an ndarray has no single truth value.
+        return self.n_qubits, tuple(self.amplitudes.tolist())
+
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
         import numpy as np

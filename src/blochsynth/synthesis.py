@@ -31,7 +31,7 @@ from .ir import Circuit, DIAGONAL_NAMES, cx, diagonal_gate
 from .simulator import boolean_action, unitary_of  # noqa: F401
 from .simulator import (Columns, TruthTable, permutation_columns, phases_match,
                         reference_columns, template_wires, unitary_columns)
-from .templates import SlotKind, Template, instantiate, make_template, slot_masks
+from .templates import Template, instantiate, make_template, slot_masks
 
 _UNIT_DEN = 64          # angles live in integer units of pi/64
 _MOD = 2 * _UNIT_DEN    # mod 2pi
@@ -162,24 +162,28 @@ def theta_system_holds(template: Template, thetas: tuple[Angle, ...],
     for x, want in enumerate(targets):
         total = ax2_phase
         for j, theta in enumerate(thetas):
-            sign = -1 if bin(x & masks[j]).count("1") % 2 else 1
-            total = total + (theta if sign > 0 else -theta)
+            total = total + (-theta if bin(x & masks[j]).count("1") % 2 else theta)
         if not total.equals_mod_2pi(want):
             return False
     return True
 
 
+def _boolean_targets(outputs: tuple[bool, ...]) -> tuple[Angle, ...]:
+    return tuple(PI if out else ZERO for out in outputs)
+
+
+def _ax2(ax2_phase: Angle, targets: tuple[Angle, ...]) -> Ax2:
+    # -Z exactly when row 0 targets pi (f(0..0) = 1): the correction flips the global sign.
+    if ax2_phase.is_zero():
+        return Ax2.I
+    return Ax2.MINUS_Z if targets[0] == PI else Ax2.Z
+
+
 def solve_thetas(template: Template, spec: BooleanSpec, widen: bool = False) -> ThetaAssignment:
     """Solve for a Boolean operator's thetas; AX2 sign follows the f(0..0) rule."""
-    targets = tuple(PI if out else ZERO for out in spec.outputs)
+    targets = _boolean_targets(spec.outputs)
     thetas, ax2_phase = solve_phase_system(template, targets, widen=widen)
-    if ax2_phase.is_zero():
-        ax2 = Ax2.I
-    else:
-        # -Z exactly when the all-zero input is a solution: the pi correction
-        # then rides on the |0...0> branch and flips the global sign.
-        ax2 = Ax2.MINUS_Z if spec.outputs[0] else Ax2.Z
-    return ThetaAssignment(thetas, ax2)
+    return ThetaAssignment(thetas, _ax2(ax2_phase, targets))
 
 
 class SynthResult(Record):
@@ -194,16 +198,15 @@ class SynthResult(Record):
         if self.kind in ("fredkin", "miller"):
             raise ValueError(f"{self.kind} has no single-template trace")
         labels = []
-        for slot in self.template.slots:
-            if slot.kind == SlotKind.THETA:
-                angle = self.assignment.thetas[slot.index - 1]
-                if not angle.is_zero():
-                    name = DIAGONAL_NAMES.get(diagonal_gate(angle, 0).kind, str(angle))
-                    labels.append(f"θ{slot.index}({name})")
-            elif slot.kind == SlotKind.CNOT:
-                labels.append(f"CNOT(c{slot.index})")
-            elif slot.kind == SlotKind.AX2 and self.assignment.ax2 != Ax2.I:
-                labels.append(f"AX2({self.assignment.ax2.value})")
+        slots = zip(self.assignment.thetas, self.template.schedule + (None,))
+        for j, (angle, control) in enumerate(slots, start=1):
+            if not angle.is_zero():
+                name = DIAGONAL_NAMES.get(diagonal_gate(angle, 0).kind, str(angle))
+                labels.append(f"θ{j}({name})")
+            if control is not None:
+                labels.append(f"CNOT(c{control})")
+        if self.assignment.ax2 != Ax2.I:
+            labels.append(f"AX2({self.assignment.ax2.value})")
         return tuple(labels)
 
 
@@ -231,66 +234,53 @@ def synth_table(outputs: tuple[bool, ...]) -> SynthResult:
     n_controls = (len(outputs) - 1).bit_length()
     if len(outputs) != 2 ** n_controls:
         raise ValueError("truth table length must be a power of two")
-    spec = BooleanSpec(n_controls, tuple(bool(o) for o in outputs))
-    template = make_template(n_controls + 1)
-    try:
-        assignment = solve_thetas(template, spec)
-    except UnsatisfiableError:
-        assignment = solve_thetas(template, spec, widen=True)
-    circuit = instantiate(template, assignment.thetas, assignment.ax2.phase)
-    result = SynthResult("table", n_controls + 1, circuit, template, assignment)
-    if boolean_action(circuit, n_controls) != spec.truth_table():
+    outputs = tuple(bool(o) for o in outputs)
+    result = _design("table", n_controls + 1, _boolean_targets(outputs))
+    if boolean_action(result.circuit, n_controls).outputs != outputs:
         raise SynthVerificationError("synthesized table does not match its spec")
     return result
 
 
-def _synth_boolean(kind: str, n: int) -> SynthResult:
+def _design(kind: str, n: int, targets: tuple[Angle, ...]) -> SynthResult:
+    """Solve the n-qubit template for targets (narrowed, else widened) and instantiate it."""
     template = make_template(n)
-    spec = BooleanSpec.named(kind, n - 1)
-    assignment = solve_thetas(template, spec)
-    circuit = instantiate(template, assignment.thetas, assignment.ax2.phase)
-    return SynthResult(kind, n, circuit, template, assignment)
-
-
-def _synth_cv(tau: Angle, kind: str, n: int) -> SynthResult:
-    template = make_template(n)
-    targets = tuple(tau if x == 2 ** (n - 1) - 1 else ZERO for x in range(2 ** (n - 1)))
     try:
         thetas, ax2_phase = solve_phase_system(template, targets)
     except UnsatisfiableError:
         thetas, ax2_phase = solve_phase_system(template, targets, widen=True)
-    assignment = ThetaAssignment(thetas, Ax2.I if ax2_phase.is_zero() else Ax2.Z)
     circuit = instantiate(template, thetas, ax2_phase)
-    return SynthResult(kind, n, circuit, template, assignment)
+    return SynthResult(kind, n, circuit, template,
+                       ThetaAssignment(thetas, _ax2(ax2_phase, targets)))
 
 
-def _and_core(n: int) -> tuple[Circuit, Template, ThetaAssignment]:
-    template = make_template(n)
-    assignment = solve_thetas(template, BooleanSpec(n - 1, _AND.outputs(n - 1)))
-    return instantiate(template, assignment.thetas, assignment.ax2.phase), template, assignment
+def _synth_boolean(kind: str, n: int) -> SynthResult:
+    return _design(kind, n, _boolean_targets(OPERATORS[kind].outputs(n - 1)))
+
+
+def _synth_cv(tau: Angle, kind: str, n: int) -> SynthResult:
+    return _design(kind, n, (ZERO,) * (2 ** (n - 1) - 1) + (tau,))
 
 
 def _synth_fredkin(kind: str, n: int) -> SynthResult:
     # Controlled swap of the target wire with the wire above it: conjugating
     # the AND core's target flip by CX turns the flip into an exchange.
-    core, template, assignment = _and_core(n)
-    target = template.target_wire
+    core = _synth_boolean("and", n)
+    target = core.template.target_wire
     bridge = cx(target, target + 1)
-    circuit = Circuit(n, (bridge,) + core.gates + (bridge,))
+    circuit = Circuit(n, (bridge,) + core.circuit.gates + (bridge,))
     note = f"CX({target},{target + 1}) sandwich around the {n}-qubit AND core"
-    return SynthResult(kind, n, circuit, template, assignment, (note,))
+    return SynthResult(kind, n, circuit, core.template, core.assignment, (note,))
 
 
 def _synth_miller(kind: str, n: int) -> SynthResult:
     # Three AND cores on wires (0,1,2) interleaved with four CNOTs; the word
     # was found by breadth-first search over chain-adjacent generators and
     # realizes the Miller permutation with 3*3 + 4 = 13 two-qubit gates.
-    core, template, assignment = _and_core(3)
-    word = [cx(1, 2)] + list(core.gates) + [cx(1, 2)] + list(core.gates) \
-         + [cx(1, 0)] + list(core.gates) + [cx(1, 0)]
-    circuit = Circuit(n, tuple(word))
+    core = _synth_boolean("and", 3)
+    gates = core.circuit.gates
+    word = (cx(1, 2),) + gates + (cx(1, 2),) + gates + (cx(1, 0),) + gates + (cx(1, 0),)
     note = "CX(1,2)/CX(1,0) conjugated AND cores realizing the Miller permutation"
-    return SynthResult(kind, n, circuit, template, assignment, (note,))
+    return SynthResult(kind, n, Circuit(n, word), core.template, core.assignment, (note,))
 
 
 def fredkin_permutation(n: int) -> tuple[int, ...]:

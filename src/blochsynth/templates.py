@@ -1,6 +1,6 @@
 """
-Symmetric circuit templates: the palindromic CNOT schedule with interleaved
-theta slots that every synthesized gate instantiates.
+Symmetric circuit templates.  A template is its palindromic CNOT schedule;
+the theta slots and the AX2 slot are implied by it.
 
 Wire convention: the target sits on the middle wire (n // 2); the remaining
 wires in ascending order are controls c1..c(n-1).  The CNOT schedule is the
@@ -10,43 +10,23 @@ recursive reflection
     sched(m controls) = shift(sched(m-1)) + (c1,) + shift(sched(m-1))
 
 where shift renames c_i -> c_(i+1).  So n=3 runs (c2, c1, c2) and n=4 runs
-(c3, c2, c3, c1, c3, c2, c3); the schedule is its own reverse.  Theta slots
-interleave: one before each CNOT and one after the last (count = CNOTs + 1).
-The AX2 slot, which carries the solver's 0-or-pi correction, exists only for
-n >= 3.  An instance opens and closes with H on the target.
+(c3, c2, c3, c1, c3, c2, c3); the schedule is its own reverse.  Theta slot j
+precedes CNOT j, one more follows the last, and for n >= 3 the AX2 slot (the
+solver's 0-or-pi correction) ends the run, all between two H on the target.
 """
 from __future__ import annotations
-
-from enum import Enum
 
 from .angles import Angle, Record
 from .ir import Circuit, Gate, diagonal_gate, cx, h, z
 from .simulator import template_wires
 
 
-class SlotKind(Enum):
-    THETA = "theta"
-    CNOT = "cnot"
-    AX2 = "ax2"
-
-
-class Slot(Record):
-    __slots__ = _fields = ("kind", "index")
-
-    def __init__(self, kind: SlotKind, index: int = 0):
-        self._set(kind, index)   # index: theta or control number (both 1-based); 0 otherwise
-
-
 class Template(Record):
-    __slots__ = _fields = ("n_qubits", "control_wires", "target_wire", "slots")
+    __slots__ = _fields = ("n_qubits", "control_wires", "target_wire", "schedule")
 
     def __init__(self, n_qubits: int, control_wires: tuple[int, ...], target_wire: int,
-                 slots: tuple[Slot, ...]):
-        self._set(n_qubits, control_wires, target_wire, slots)
-
-    @property
-    def schedule(self) -> tuple[int, ...]:
-        return tuple(s.index for s in self.slots if s.kind == SlotKind.CNOT)
+                 schedule: tuple[int, ...]):
+        self._set(n_qubits, control_wires, target_wire, schedule)
 
     @property
     def n_cnots(self) -> int:
@@ -75,19 +55,11 @@ def make_template(n: int) -> Template:
     """The symmetric n-qubit skeleton, 2 <= n <= 5."""
     if not 2 <= n <= 5:
         raise ValueError(f"template supports 2..5 qubits, got {n}")
-    controls, target = template_wires(n)
-    slots = []
-    for k, control in enumerate(cnot_schedule(n), start=1):
-        slots.append(Slot(SlotKind.THETA, k))
-        slots.append(Slot(SlotKind.CNOT, control))
-    slots.append(Slot(SlotKind.THETA, len(cnot_schedule(n)) + 1))
-    if n >= 3:
-        slots.append(Slot(SlotKind.AX2))
-    return Template(n, controls, target, tuple(slots))
+    return Template(n, *template_wires(n), cnot_schedule(n))
 
 
 def slot_masks(template: Template) -> tuple[int, ...]:
-    """Per-theta-slot control parity masks.
+    """Per-theta-slot control parity masks: the suffix XORs of the schedule.
 
     Bit i-1 of mask_j is the parity of CNOTs from control i that fire after
     theta slot j, so the slot's sign under control assignment x is
@@ -95,14 +67,10 @@ def slot_masks(template: Template) -> tuple[int, ...]:
     pairwise distinct and enumerate the full 2^(n-1) character group, which
     is what makes the theta system uniquely solvable per AX2 choice.
     """
-    sched = template.schedule
-    masks = []
-    for j in range(template.n_thetas):
-        mask = 0
-        for control in sched[j:]:
-            mask ^= 1 << (control - 1)
-        masks.append(mask)
-    return tuple(masks)
+    masks = [0]
+    for control in reversed(template.schedule):
+        masks.append(masks[-1] ^ 1 << (control - 1))
+    return tuple(reversed(masks))
 
 
 def instantiate(template: Template, thetas: tuple[Angle, ...],
@@ -116,15 +84,12 @@ def instantiate(template: Template, thetas: tuple[Angle, ...],
         raise ValueError(f"need {template.n_thetas} thetas, got {len(thetas)}")
     tgt = template.target_wire
     gates: list[Gate] = [h(tgt)]
-    for slot in template.slots:
-        if slot.kind == SlotKind.THETA:
-            angle = thetas[slot.index - 1]
-            if not angle.is_zero():
-                gates.append(diagonal_gate(angle, tgt))
-        elif slot.kind == SlotKind.CNOT:
-            gates.append(cx(template.wire_of_control(slot.index), tgt))
-        elif slot.kind == SlotKind.AX2:
-            if ax2_phase is not None and not ax2_phase.is_zero():
-                gates.append(z(tgt))
+    for angle, control in zip(thetas, template.schedule + (None,)):
+        if not angle.is_zero():
+            gates.append(diagonal_gate(angle, tgt))
+        if control is not None:
+            gates.append(cx(template.wire_of_control(control), tgt))
+    if template.n_qubits >= 3 and ax2_phase is not None and not ax2_phase.is_zero():
+        gates.append(z(tgt))
     gates.append(h(tgt))
     return Circuit(template.n_qubits, tuple(gates))

@@ -344,6 +344,15 @@ def test_custom_weights_reach_the_output(capsys):
     assert "wtqc=54.5" in out
 
 
+def test_an_overflowing_weighted_sum_is_a_usage_error(capsys):
+    # Each weight passes the finiteness check, but the weighted sum is inf.
+    for command in ("cost", "compare"):
+        rc, out, err = run(capsys, command, "--op", "and", "--n", "3",
+                           "--weights", "1e308,0,0,0")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: weighted sum overflows") and err.count("\n") == 1
+
+
 def test_custom_basis_file(capsys, tmp_path):
     path = tmp_path / "hcz.basis"
     path.write_text("single h\nsingle rz\nsingle sx\nsingle x\nsingle i\ntwo cz\n")

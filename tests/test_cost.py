@@ -138,6 +138,17 @@ def test_wtqc_validation():
             wtqc((1, 2, 3, 4), (1.0, bad, 1.0, 1.0))
 
 
+def test_wtqc_rejects_an_overflowing_sum():
+    # Each weight is finite; the weighted sum is not.
+    for counts, weights in (((2, 0, 0, 0), (1e308, 0.0, 0.0, 0.0)),
+                            ((1, 1, 0, 0), (1e308, 1e308, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="overflows"):
+            wtqc(counts, weights)
+        with pytest.raises(ValueError, match="overflows"):
+            CostReport(*counts, weights).wtqc
+    assert wtqc((1, 0, 0, 0), (1e308, 0.0, 0.0, 0.0)) == 1e308
+
+
 def test_cost_report_properties():
     report = CostReport(6, 1, 0, 7)
     assert report.counts == (6, 1, 0, 7)

@@ -19,7 +19,7 @@ from blochsynth.synthesis import (Ax2, BooleanSpec, OPERATOR_RANGES,
                                   solve_phase_system, solve_thetas, synth,
                                   synth_detailed, synth_table,
                                   theta_system_holds)
-from blochsynth.templates import Slot, SlotKind, Template, make_template, slot_masks
+from blochsynth.templates import Template, instantiate, make_template, slot_masks
 from blochsynth.tracker import trace
 
 T, TD, S, SD = Angle(1, 4), Angle(-1, 4), Angle(1, 2), Angle(-1, 2)
@@ -485,18 +485,20 @@ def test_solver_matches_the_sign_matrix_on_dyadic_targets(case):
 @given(st.integers(3, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(1, n - 1), min_size=1, max_size=7),
     st.lists(st.sampled_from((ZERO, PI, Angle(1, 4), Angle(-1, 2))),
-             min_size=2 ** (n - 1), max_size=2 ** (n - 1)))))
+             min_size=2 ** (n - 1), max_size=2 ** (n - 1)),
+    st.lists(_DYADIC, min_size=8, max_size=8), st.booleans())))
 def test_solver_back_check_holds_for_repeated_masks(case):
     # A schedule that repeats a parity gives repeated slot masks, so the
     # back-check must sum the thetas that share a mask, as sign @ units does.
-    n, schedule, targets = case
-    slots = []
-    for k, control in enumerate(schedule, start=1):
-        slots += [Slot(SlotKind.THETA, k), Slot(SlotKind.CNOT, control)]
-    slots += [Slot(SlotKind.THETA, len(schedule) + 1), Slot(SlotKind.AX2)]
+    n, schedule, targets, thetas, ax_pi = case
     base = make_template(n)
-    template = Template(n, base.control_wires, base.target_wire, tuple(slots))
+    template = Template(n, base.control_wires, base.target_wire, tuple(schedule))
     _assert_matches_sign_matrix(template, tuple(targets))
+    # An instance of any schedule applies sum_j s_j(x) theta_j + ax2 on input x.
+    thetas, ax2 = tuple(thetas[:template.n_thetas]), PI if ax_pi else ZERO
+    circuit = instantiate(template, thetas, ax2)
+    for x, want in enumerate(_phases(template, thetas, ax2)):
+        assert trace(circuit, x, template.target_wire).final_phase == want, (x, thetas, ax2)
 
 
 def _solver_digest(widen):

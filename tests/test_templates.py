@@ -3,8 +3,7 @@ import pytest
 
 from blochsynth.angles import PI, PI_4, ZERO, Angle
 from blochsynth.ir import GateKind, cx, h, t, tdg
-from blochsynth.templates import (SlotKind, cnot_schedule, instantiate,
-                                  make_template, slot_masks)
+from blochsynth.templates import cnot_schedule, instantiate, make_template, slot_masks
 
 
 def test_cnot_schedule_goldens():
@@ -28,11 +27,13 @@ def test_template_structure():
         assert tpl.control_wires == tuple(w for w in range(n) if w != n // 2)
         assert tpl.n_cnots == 2 ** (n - 1) - 1
         assert tpl.n_thetas == tpl.n_cnots + 1
-        kinds = [slot.kind for slot in tpl.slots]
-        expected = [SlotKind.THETA, SlotKind.CNOT] * tpl.n_cnots + [SlotKind.THETA]
-        assert kinds == expected + [SlotKind.AX2] * (n >= 3)
+        assert tpl.schedule == cnot_schedule(n)
+        # Slots: a theta before each CNOT and after the last, then AX2 for n >= 3.
         c = instantiate(tpl, (PI_4,) * tpl.n_thetas, PI)
         assert c.gates[0] == h(tpl.target_wire) and c.gates[-1] == h(tpl.target_wire)
+        kinds = [g.kind for g in c.gates[1:-1]]
+        expected = [GateKind.T, GateKind.CX] * tpl.n_cnots + [GateKind.T]
+        assert kinds == expected + [GateKind.Z] * (n >= 3)
     with pytest.raises(ValueError):
         make_template(6)
     with pytest.raises(ValueError):
