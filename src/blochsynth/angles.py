@@ -140,3 +140,14 @@ ZERO = Angle(0, 1)
 PI = Angle(1, 1)
 PI_2 = Angle(1, 2)
 PI_4 = Angle(1, 4)
+
+# Integer arithmetic on angles: every Angle is a whole number of pi/64
+# units, summed mod TURN; UNIT_ANGLES[u] is the Angle of u units.
+HALF_TURN = MAX_DENOMINATOR
+TURN = 2 * HALF_TURN
+UNIT_ANGLES = tuple(Angle(u, HALF_TURN) for u in range(TURN))
+
+
+def to_units(a: Angle) -> int:
+    """The angle as a count of pi/64 units, in (-HALF_TURN, HALF_TURN]."""
+    return a.num * (HALF_TURN // a.den)

@@ -7,8 +7,9 @@ excluded from N2), then take D as the depth of the routed circuit lowered and
 canonicalized again, so D includes the routing overhead while N2 does not
 double-count it.  Both lowerings are transpile's one walk, which lowers each
 distinct SWAP once; D is read off its gate list without building a circuit.
-A route without SWAPs only relabels the native circuit, so its D is the
-native depth.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
+When the mapping already makes every two-qubit gate adjacent, routing would
+only relabel the native circuit, so the pipeline does not route at all: XC
+is 0 and D is the native depth.  WTQC = W1*N1 + W2*N2 + W3*XC + W4*D, exactly.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from collections.abc import Sequence
 
 from .angles import Record
 from .ir import Circuit, Gate
-from .layout import Layout, Mapping, find_placement, route
+from .layout import Layout, Mapping, find_placement, route, routes_without_swaps
 from .transpile import DEFAULT_BASIS, NativeBasis, _lower, count_gates
 # perfbench/tracing.py wraps these two names here, so they stay importable.
 from .transpile import canonicalize, rewrite_to_basis  # noqa: F401
@@ -98,7 +99,7 @@ def cost_pipeline(c: Circuit, layout: Layout | None = None,
                   weights: tuple[float, float, float, float] = UNIT_WEIGHTS,
                   xc_mode: str = "swaps",
                   basis: NativeBasis = DEFAULT_BASIS) -> CostReport:
-    """Lower, count, place, route, and measure one circuit."""
+    """Lower, count, place, route (only when a SWAP is needed) and measure one circuit."""
     if xc_mode not in ("swaps", "cnots"):
         raise ValueError(f"xc_mode must be 'swaps' or 'cnots', got {xc_mode!r}")
     native = Circuit(c.n_qubits, _lower(c.gates, basis))
@@ -107,9 +108,12 @@ def cost_pipeline(c: Circuit, layout: Layout | None = None,
         return CostReport(n1, n2, 0, depth(native), weights, mapping)
     if mapping is None:
         mapping = find_placement(layout, native)
+    if routes_without_swaps(native, layout, mapping):
+        return CostReport(n1, n2, 0, depth(native), weights, mapping)
+    # The first non-adjacent gate is reached before any SWAP, so swaps >= 1.
     routed, swaps = route(native, layout, mapping)
-    d = depth(_lower(routed.gates, basis)) if swaps else depth(native)
     xc = 3 * swaps if xc_mode == "cnots" else swaps
+    d = depth(_lower(routed.gates, basis))
     return CostReport(n1, n2, xc, d, weights, mapping)
 
 

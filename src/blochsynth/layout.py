@@ -7,7 +7,8 @@ interaction pairs onto adjacent ids by one search (a forest on at most five
 wires), else the chain 0-1-...-(n-1), else any n connected qubits, and lets
 routing pay the SWAP cost honestly; find_chain is the chain case alone.
 route inserts SWAPs greedily along shortest paths, moving the first endpoint
-toward the second, and reports the inserted count as XC.
+toward the second, and reports the inserted count as XC;
+routes_without_swaps tells, without routing, whether that count is zero.
 """
 from __future__ import annotations
 
@@ -266,6 +267,29 @@ def _embed(layout: Layout, n: int, pairs) -> Mapping | None:
     return Mapping(tuple(phys))
 
 
+def _check_mapping(c: Circuit, layout: Layout, mapping: Mapping) -> None:
+    if mapping.n_qubits != c.n_qubits:
+        raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
+    for p in mapping.physical:
+        if p not in layout.qubits:
+            raise ValueError(f"mapped qubit {p} not in {layout.name}")
+
+
+def routes_without_swaps(c: Circuit, layout: Layout, mapping: Mapping) -> bool:
+    """Whether every two-qubit gate of c acts on adjacent ids under mapping.
+
+    Exactly then route inserts no SWAP.  Raises what route raises for a
+    mapping of the wrong width or with an id outside the layout.
+    """
+    _check_mapping(c, layout, mapping)
+    phys, edges = mapping.physical, layout.edges
+    for a, b in {g.qubits for g in c.gates if len(g.qubits) == 2}:
+        a, b = phys[a], phys[b]
+        if ((a, b) if a < b else (b, a)) not in edges:
+            return False
+    return True
+
+
 def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
     """Rewrite onto physical ids, inserting SWAPs for non-adjacent gates.
 
@@ -279,11 +303,7 @@ def route(c: Circuit, layout: Layout, mapping: Mapping) -> tuple[Circuit, int]:
     its suffixes from its first vertex (a smaller suffix would make a
     smaller whole path), while the second endpoint stays at its end.
     """
-    if mapping.n_qubits != c.n_qubits:
-        raise ValueError(f"mapping covers {mapping.n_qubits} wires, circuit has {c.n_qubits}")
-    for p in mapping.physical:
-        if p not in layout.qubits:
-            raise ValueError(f"mapped qubit {p} not in {layout.name}")
+    _check_mapping(c, layout, mapping)
     pos = dict(enumerate(mapping.physical))
     loc = {p: w for w, p in pos.items()}
     relabelled: dict[tuple[Gate, tuple[int, ...]], Gate] = {}

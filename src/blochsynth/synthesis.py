@@ -15,7 +15,9 @@ two branches the solver prefers a solution that lies wholly in the narrowed
 candidate set, and among those the one that comes first in a fixed order
 (slot 1 cycling fastest over the descending candidates); otherwise it takes
 the first branch (AX2 = 0, then pi) whose thetas stay in the candidates or
-zero, or are any dyadic angle when widened.
+zero, or are any dyadic angle when widened.  A design transforms once and
+applies both rules in turn to the same branch solutions: candidates or zero
+first, then any dyadic angle.
 
 All arithmetic runs on ints in units of pi/64 (mod 128): no floats, no matrix.
 """
@@ -25,7 +27,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .angles import ZERO, PI, Angle, Record
+from .angles import HALF_TURN, TURN, UNIT_ANGLES, ZERO, PI, Angle, Record, to_units
 from .ir import Circuit, DIAGONAL_NAMES, cx, diagonal_gate
 # perfbench/tracing.py wraps these two names here, so they stay importable.
 from .simulator import boolean_action, unitary_of  # noqa: F401
@@ -33,8 +35,9 @@ from .simulator import (Columns, TruthTable, permutation_columns, phases_match,
                         reference_columns, template_wires, unitary_columns)
 from .templates import Template, instantiate, make_template, slot_masks
 
-_UNIT_DEN = 64          # angles live in integer units of pi/64
-_MOD = 2 * _UNIT_DEN    # mod 2pi
+# Every template size, built once, and the truth-table length each takes.
+_TEMPLATES = {n: make_template(n) for n in range(2, 6)}
+_TABLE_LENGTHS = tuple(2 ** (n - 1) for n in _TEMPLATES)
 
 
 class UnsatisfiableError(ValueError):
@@ -93,10 +96,6 @@ class ThetaAssignment(Record):
         self._set(thetas, ax2)
 
 
-def _units(a: Angle) -> int:
-    return a.num * (_UNIT_DEN // a.den)
-
-
 def _walsh(v: list[int]) -> list[int]:
     """In-place unnormalised fast Walsh-Hadamard transform: v[k] <- sum_x (-1)^|x & k| v[x]."""
     h = 1
@@ -106,6 +105,54 @@ def _walsh(v: list[int]) -> list[int]:
                 v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
         h *= 2
     return v
+
+
+def _branch_solutions(template: Template,
+                      targets: tuple[Angle, ...]) -> list[tuple[list[int], int]]:
+    """Every AX2 branch's exact solution (thetas, ax2) in units, AX2 = 0 first."""
+    masks = slot_masks(template)
+    n_rows = 2 ** (template.n_qubits - 1)
+    if len(targets) != n_rows:
+        raise ValueError(f"need {n_rows} target phases")
+    want = [to_units(a) % TURN for a in targets]
+    solutions = []
+    for ax_units in (0, HALF_TURN) if template.n_qubits >= 3 else (0,):
+        # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2),
+        # each target_x - ax2 taken in (-pi, pi].
+        numer = _walsh([HALF_TURN - (HALF_TURN + ax_units - w) % TURN for w in want])
+        if any(numer[mask] % n_rows for mask in masks):
+            continue
+        units = [numer[mask] // n_rows for mask in masks]
+        # Exact back-check: the transform of the per-mask sums is sign @ units.
+        coeffs = [0] * n_rows
+        for mask, u in zip(masks, units):
+            coeffs[mask] += u
+        if all((total + ax_units) % TURN == w for total, w in zip(_walsh(coeffs), want)):
+            solutions.append(([u % TURN for u in units], ax_units))
+    return solutions
+
+
+def _choose(template: Template, solutions: list[tuple[list[int], int]],
+            widen_steps: tuple[bool, ...]) -> tuple[tuple[Angle, ...], Angle]:
+    """The all-candidate solution of lowest enumeration index, else for each
+    step in turn the first solution whose thetas are candidates or zero, or
+    any dyadic one where the step widens."""
+    cands = narrow_gate_set(template.n_cnots)
+    digit = {to_units(c) % TURN: i for i, c in enumerate(cands)}
+    # Enumeration index of an all-candidate solution: slot 1 cycles fastest
+    # over the descending candidates.
+    narrow = {sum(digit[u] * len(cands) ** j for j, u in enumerate(units)): (units, ax_units)
+              for units, ax_units in solutions if all(u in digit for u in units)}
+    if narrow:
+        units, ax_units = narrow[min(narrow)]
+    else:
+        units, ax_units = next(
+            (s for widen in widen_steps for s in solutions
+             if widen or all(u in digit or u == 0 for u in s[0])), (None, None))
+        if units is None:
+            raise UnsatisfiableError(
+                f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
+    return tuple(UNIT_ANGLES[u] for u in units), UNIT_ANGLES[ax_units]
 
 
 def solve_phase_system(template: Template, targets: tuple[Angle, ...],
@@ -120,39 +167,7 @@ def solve_phase_system(template: Template, targets: tuple[Angle, ...],
     pi) whose thetas are candidates or zero (identity slots) is returned, or
     with widen set any dyadic solution.
     """
-    masks = slot_masks(template)
-    n_rows = 2 ** (template.n_qubits - 1)
-    if len(targets) != n_rows:
-        raise ValueError(f"need {n_rows} target phases")
-    want = [_units(a) % _MOD for a in targets]
-    cands = narrow_gate_set(template.n_cnots)
-    digit = {_units(c) % _MOD: i for i, c in enumerate(cands)}
-
-    solutions = []
-    for ax_units in (0, _UNIT_DEN) if template.n_qubits >= 3 else (0,):
-        # Character transform: theta_j = (1/2^m) sum_x chi_j(x) (target_x - ax2),
-        # each target_x - ax2 taken in (-pi, pi].
-        numer = _walsh([_UNIT_DEN - (_UNIT_DEN + ax_units - w) % _MOD for w in want])
-        if any(numer[mask] % n_rows for mask in masks):
-            continue
-        units = [numer[mask] // n_rows for mask in masks]
-        # Exact back-check: the transform of the per-mask sums is sign @ units.
-        coeffs = [0] * n_rows
-        for mask, u in zip(masks, units):
-            coeffs[mask] += u
-        if all((total + ax_units) % _MOD == w for total, w in zip(_walsh(coeffs), want)):
-            solutions.append(([u % _MOD for u in units], ax_units))
-
-    # Enumeration index of an all-candidate solution: slot 1 cycles fastest
-    # over the descending candidates.
-    narrow = {sum(digit[u] * len(cands) ** j for j, u in enumerate(units)): (units, ax_units)
-              for units, ax_units in solutions if all(u in digit for u in units)}
-    allowed = [s for s in solutions if widen or all(u in digit or u == 0 for u in s[0])]
-    if not narrow and not allowed:
-        raise UnsatisfiableError(
-            f"unsatisfiable in CTG3 (candidates {[str(c) for c in cands]})")
-    units, ax_units = narrow[min(narrow)] if narrow else allowed[0]
-    return tuple(Angle(u, _UNIT_DEN) for u in units), Angle(ax_units, _UNIT_DEN)
+    return _choose(template, _branch_solutions(template, targets), (widen,))
 
 
 def theta_system_holds(template: Template, thetas: tuple[Angle, ...],
@@ -231,9 +246,9 @@ def synth_detailed(kind: str, n: int) -> SynthResult:
 
 def synth_table(outputs: tuple[bool, ...]) -> SynthResult:
     """Synthesize an explicit truth table (widening the angle set if needed)."""
-    n_controls = (len(outputs) - 1).bit_length()
-    if len(outputs) != 2 ** n_controls:
-        raise ValueError("truth table length must be a power of two")
+    if len(outputs) not in _TABLE_LENGTHS:
+        raise ValueError(f"truth table needs 2, 4, 8 or 16 entries, got {len(outputs)}")
+    n_controls = len(outputs).bit_length() - 1
     outputs = tuple(bool(o) for o in outputs)
     result = _design("table", n_controls + 1, _boolean_targets(outputs))
     if boolean_action(result.circuit, n_controls).outputs != outputs:
@@ -242,12 +257,16 @@ def synth_table(outputs: tuple[bool, ...]) -> SynthResult:
 
 
 def _design(kind: str, n: int, targets: tuple[Angle, ...]) -> SynthResult:
-    """Solve the n-qubit template for targets (narrowed, else widened) and instantiate it."""
-    template = make_template(n)
-    try:
-        thetas, ax2_phase = solve_phase_system(template, targets)
-    except UnsatisfiableError:
-        thetas, ax2_phase = solve_phase_system(template, targets, widen=True)
+    """Solve the n-qubit template for targets and instantiate it.
+
+    One transform per AX2 branch serves the whole choice: the narrowed
+    solution, else the first whose thetas are candidates or zero, else the
+    first dyadic one.  That is solve_phase_system, then widen=True on
+    UnsatisfiableError.
+    """
+    template = _TEMPLATES[n]
+    thetas, ax2_phase = _choose(template, _branch_solutions(template, targets),
+                                (False, True))
     circuit = instantiate(template, thetas, ax2_phase)
     return SynthResult(kind, n, circuit, template,
                        ThetaAssignment(thetas, _ax2(ax2_phase, targets)))

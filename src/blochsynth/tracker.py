@@ -10,13 +10,16 @@ target event acts on the single phase of (|0> + e^{i phase}|1>)/sqrt(2):
     CZ with control bit 1         ->  phase += pi
     second H                      ->  off the equator: phase 0 -> |0>, pi -> |1>
 
-The tracker walks a concrete circuit (not a template), so it doubles as an
-independent check that instantiation preserved the design: its Boolean
-verdict must match full statevector simulation on every control input.
+The phase is carried as an integer count of pi/64 units mod 2pi, and each
+point and the final phase are read from 128-entry tables, so a trace builds
+no Angle.  The tracker walks a concrete circuit (not a template) and calls
+no solver and no simulator, so it doubles as an independent check that
+instantiation preserved the design: its Boolean verdict must match full
+statevector simulation on every control input.
 """
 from __future__ import annotations
 
-from .angles import ZERO, PI, Angle, Record
+from .angles import HALF_TURN, TURN, UNIT_ANGLES, Angle, Record, _store, to_units
 from .ir import Circuit, GateKind, DIAGONAL_NAMES, DIAGONAL_PHASES
 from .simulator import MAX_SIM_QUBITS
 
@@ -33,7 +36,7 @@ class PhasePoint(Record):
     __slots__ = _fields = ("phase",)
 
     def __init__(self, phase: Angle):
-        self._set(phase)
+        _store(self, "phase", phase)
 
     def __str__(self) -> str:
         return self.phase.pi_string()
@@ -45,7 +48,9 @@ class TraceEvent(Record):
     def __init__(self, label: str, point: PhasePoint, applied: bool):
         # label "θ(t)", "CNOT(2)", "AX2", ...; applied is False only for a
         # control-off CNOT/CZ.
-        self._set(label, point, applied)
+        _store(self, "label", label)
+        _store(self, "point", point)
+        _store(self, "applied", applied)
 
 
 class Trace(Record):
@@ -55,7 +60,11 @@ class Trace(Record):
                  closed: bool, output: bool | None):
         # controls: bitmask, bit i-1 = control_i; closed: second H seen;
         # output: None when the final phase is not 0 or pi.
-        self._set(controls, events, final_phase, closed, output)
+        _store(self, "controls", controls)
+        _store(self, "events", events)
+        _store(self, "final_phase", final_phase)
+        _store(self, "closed", closed)
+        _store(self, "output", output)
 
     @property
     def points(self) -> tuple[PhasePoint, ...]:
@@ -75,6 +84,12 @@ def _control_mask(controls: int | str, n_controls: int) -> int:
     return controls
 
 
+# One PhasePoint per phase value in pi/64 units, shared by every trace.
+_POINTS = tuple(PhasePoint(a) for a in UNIT_ANGLES)
+_DIAGONAL_UNITS = {kind: to_units(a) for kind, a in DIAGONAL_PHASES.items()}
+_DIAGONAL_LABELS = {kind: f"θ({kind.value})" for kind in DIAGONAL_PHASES}
+
+
 def trace(c: Circuit, controls: int | str, target: int | None = None) -> Trace:
     """Track the target's equator phase through the circuit for one control input."""
     if target is None:
@@ -84,51 +99,55 @@ def trace(c: Circuit, controls: int | str, target: int | None = None) -> Trace:
     control_of = {w: i + 1 for i, w in enumerate(w for w in range(c.n_qubits) if w != target)}
     mask = _control_mask(controls, c.n_qubits - 1)
 
-    phase = ZERO
+    h_kind, i_kind, rz_kind = GateKind.H, GateKind.I, GateKind.RZ
+    cx_kind, cz_kind = GateKind.CX, GateKind.CZ
+    phase = 0
     on_equator = False
     closed = False
     events: list[TraceEvent] = []
     for g in c.gates:
-        if target not in g.qubits:
-            if g.kind == GateKind.I:
+        kind, qubits = g.kind, g.qubits
+        if target not in qubits:
+            if kind is i_kind:
                 continue
-            raise TrackError(f"gate {g.kind.value} on a control wire is not trackable")
+            raise TrackError(f"gate {kind.value} on a control wire is not trackable")
         if closed:
             raise TrackError("gate after the closing superposition gate")
-        if g.kind == GateKind.H:
+        if kind is h_kind:
             if on_equator:
                 closed = True
             else:
                 on_equator = True
-                phase = ZERO
+                phase = 0
             continue
         if not on_equator:
-            raise TrackError(f"target gate {g.kind.value} before the opening H")
-        if g.kind in DIAGONAL_PHASES:
-            phase = phase + DIAGONAL_PHASES[g.kind]
-            events.append(TraceEvent(f"θ({g.kind.value})", PhasePoint(phase), True))
-        elif g.kind == GateKind.RZ:
-            phase = phase + g.angle
-            events.append(TraceEvent("θ(rz)", PhasePoint(phase), True))
-        elif g.kind in (GateKind.CX, GateKind.CZ):
-            other = g.qubits[0] if g.qubits[1] == target else g.qubits[1]
-            if g.kind == GateKind.CX and g.qubits[1] != target:
+            raise TrackError(f"target gate {kind.value} before the opening H")
+        if kind in _DIAGONAL_UNITS:
+            phase = (phase + _DIAGONAL_UNITS[kind]) % TURN
+            events.append(TraceEvent(_DIAGONAL_LABELS[kind], _POINTS[phase], True))
+        elif kind is rz_kind:
+            angle = g.angle
+            phase = (phase + angle.num * (HALF_TURN // angle.den)) % TURN
+            events.append(TraceEvent("θ(rz)", _POINTS[phase], True))
+        elif kind is cx_kind or kind is cz_kind:
+            other = qubits[0] if qubits[1] == target else qubits[1]
+            if kind is cx_kind and qubits[1] != target:
                 raise TrackError("CNOT controlled by the target is not trackable")
             cid = control_of[other]
             active = bool(mask >> (cid - 1) & 1)
             if active:
-                phase = -phase if g.kind == GateKind.CX else phase + PI
-            name = "CNOT" if g.kind == GateKind.CX else "CZ"
-            events.append(TraceEvent(f"{name}(c{cid})", PhasePoint(phase), active))
+                phase = -phase % TURN if kind is cx_kind else (phase + HALF_TURN) % TURN
+            name = "CNOT" if kind is cx_kind else "CZ"
+            events.append(TraceEvent(f"{name}(c{cid})", _POINTS[phase], active))
         else:
-            raise TrackError(f"target gate {g.kind.value} is not equator-trackable")
+            raise TrackError(f"target gate {kind.value} is not equator-trackable")
     output = None
     if closed:
-        if phase == ZERO:
+        if phase == 0:
             output = False
-        elif phase == PI:
+        elif phase == HALF_TURN:
             output = True
-    return Trace(mask, tuple(events), phase, closed, output)
+    return Trace(mask, tuple(events), UNIT_ANGLES[phase], closed, output)
 
 
 def render_trace_table(c: Circuit, target: int | None = None,

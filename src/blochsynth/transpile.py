@@ -4,8 +4,9 @@ Rewriting into a native gate basis and gate counting.
 rewrite_to_basis expands every non-native gate through a fixed rule table
 (H and CNOT through their {RZ, SX} / {H, CZ, H} sequences, SWAP through
 three CNOTs) until only basis members remain; canonicalize merges adjacent
-same-wire RZ gates and drops identities without reordering across two-qubit
-gates, so N1/N2 counts are stable and reproducible.  One walk, _lower, does
+same-wire RZ gates, summing their angles as integer pi/64 units, and drops
+identities without reordering across two-qubit gates, so N1/N2 counts are
+stable and reproducible.  One walk, _lower, does
 both at once and is the only place the merge rule lives: the cost pipeline
 lowers with it, and canonicalize is the walk under a basis that holds every
 kind.  Lowering is exact up to global phase only (S -> RZ(pi/2) already
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from pathlib import Path
 
-from .angles import PI_2, Record
+from .angles import HALF_TURN, PI_2, TURN, UNIT_ANGLES, Record
 from .ir import (Circuit, Gate, GateKind, DIAGONAL_PHASES,
                  cx, cz, rz, sx, x, z)
 
@@ -113,33 +114,47 @@ def _lower(gates: Iterable[Gate], basis: NativeBasis) -> list[Gate]:
     """canonicalize(rewrite_to_basis(...)) of `gates`, in one walk.
 
     Each gate is expanded into the basis and its gates are merged as they
-    come: an RZ pends on its wire, summed exactly; any other gate first
-    flushes its wires' pending RZs, lowest wire first, dropping RZ(0); I is
-    dropped.  A lone RZ is kept as the same gate; only a merge builds a new
-    one.  Nothing is reordered across a gate.
+    come: an RZ pends on its wire, its angle summed exactly as an integer
+    count of pi/64 units; any other gate first flushes its wires' pending
+    runs, lowest wire first, dropping a run that sums to 0 mod 2pi; I is
+    dropped.  A lone RZ is kept as the same gate; a run of several builds
+    one new gate when it is flushed.  Nothing is reordered across a gate.
     """
     rz_kind, i_kind = GateKind.RZ, GateKind.I
     native = basis.single_qubit | basis.two_qubit
     expand = _expander(basis)
     out: list[Gate] = []
     emit = out.append
-    pending: dict[int, Gate] = {}
+    # wire -> [the run's only RZ, or None once it holds several; its sum in units]
+    pending: dict[int, list] = {}
+
+    def flush(q: int, run: list) -> None:
+        if run[1] % TURN:
+            emit(run[0] or rz(UNIT_ANGLES[run[1] % TURN], q))
+
     for g in gates:
         for s in ((g,) if g.kind in native else expand(g)):
             kind = s.kind
             if kind is rz_kind:
                 q = s.qubits[0]
-                prior = pending.get(q)
-                pending[q] = s if prior is None else rz(prior.angle + s.angle, q)
+                angle = s.angle
+                units = angle.num * (HALF_TURN // angle.den)
+                run = pending.get(q)
+                if run is None:
+                    pending[q] = [s, units]
+                else:
+                    run[0] = None
+                    run[1] += units
             elif kind is not i_kind:
                 if pending:
                     qubits = s.qubits
                     for q in (sorted(qubits) if len(qubits) > 1 else qubits):
-                        prior = pending.pop(q, None)
-                        if prior is not None and not prior.angle.is_zero():
-                            emit(prior)
+                        run = pending.pop(q, None)
+                        if run is not None:
+                            flush(q, run)
                 emit(s)
-    out.extend(p for _, p in sorted(pending.items()) if not p.angle.is_zero())
+    for q, run in sorted(pending.items()):
+        flush(q, run)
     return out
 
 

@@ -100,6 +100,13 @@ def test_synth_usage_errors(capsys):
         main(["synth", "--op", "parity", "--n", "3"])
 
 
+@pytest.mark.parametrize("length", (1, 3, 64))
+def test_a_table_of_the_wrong_length_names_the_allowed_lengths(capsys, length):
+    rc, out, err = run(capsys, "synth", "--table", ",".join("01"[k % 2] for k in range(length)))
+    assert rc == 2 and out == ""
+    assert err == f"error: truth table needs 2, 4, 8 or 16 entries, got {length}\n"
+
+
 def test_empty_option_strings_are_usage_errors(capsys, tmp_path, monkeypatch):
     # An empty string is a given value, not an absent option: each call exits
     # 2 with one line naming the option, and writes nothing.

@@ -16,7 +16,7 @@ from blochsynth.ir import Circuit, Gate, GateKind, cx, cz, h, rz, swap
 from blochsynth.layout import (Mapping, find_placement, heavy_hex, make_layout,
                                parse_layout, route)
 from blochsynth.transpile import (DEFAULT_BASIS, NativeBasis, _lower, canonicalize,
-                                  rewrite_to_basis)
+                                  count_gates, rewrite_to_basis)
 from blochsynth.synthesis import OPERATOR_RANGES, synth
 
 from conftest import random_circuit
@@ -359,3 +359,115 @@ def test_depth_on_a_sparse_wide_layout_stays_small():
     assert swaps > 0 and routed.n_qubits == 2000001
     assert _peak_bytes(lambda: depth(route(native, sparse, mapping)[0])) < 1 << 20
     assert _peak_bytes(lambda: cost_pipeline(c, sparse)) < 1 << 20
+
+
+def _routed_report(c, layout, mapping=None, basis=DEFAULT_BASIS):
+    """CostReport by the explicit formula: lower, place, always route, then depth."""
+    native = Circuit(c.n_qubits, tuple(_lower(c.gates, basis)))
+    n1, n2 = count_gates(native, basis)
+    if mapping is None:
+        mapping = find_placement(layout, native)
+    routed, swaps = route(native, layout, mapping)
+    d = depth(_lower(routed.gates, basis)) if swaps else depth(native)
+    return CostReport(n1, n2, swaps, d, UNIT_WEIGHTS, mapping)
+
+
+def _rotated(mapping):
+    """The same ids, each wire moved to the next wire's id."""
+    return Mapping(mapping.physical[1:] + mapping.physical[:1])
+
+
+def test_pipeline_equals_the_always_route_formula_on_every_row_and_layout():
+    # The pipeline skips routing when the mapping embeds every pair; the
+    # always-route formula must give the same report, for found mappings
+    # and for user mappings that do not embed.
+    seen = {True: 0, False: 0}
+    for layout in (STAR5, parse_bundled("ibm_torino"), heavy_hex(2, 2)):
+        for kind, sizes in OPERATOR_RANGES.items():
+            for n in sizes:
+                for c in (synth(kind, n), naive_synth(kind, n)):
+                    try:
+                        found = find_placement(layout, canonicalize(rewrite_to_basis(c)))
+                    except ValueError:
+                        continue   # textbook circuits at n >= 4 do not place on the star
+                    for mapping in (None, found, _rotated(found)):
+                        want = _routed_report(c, layout, mapping)
+                        assert cost_pipeline(c, layout, mapping) == want, (layout.name, kind, n)
+                        seen[want.xc == 0] += 1
+    assert seen[True] >= 200 and seen[False] >= 250   # both paths, many times
+
+
+def test_an_embedding_mapping_never_routes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("route called for an embedding mapping")
+    monkeypatch.setattr("blochsynth.cost.route", refuse)
+    for kind, sizes in OPERATOR_RANGES.items():
+        for n in sizes:
+            layout = STAR5 if n == 5 else TORINO
+            assert cost_pipeline(synth(kind, n), layout).xc == 0
+    # A mapping that needs a SWAP still reaches route.
+    c = Circuit(2, (h(1), cz(0, 1), h(1)))
+    with pytest.raises(AssertionError, match="route called"):
+        cost_pipeline(c, make_layout("path3", [(0, 1), (1, 2)]), Mapping((0, 2)))
+
+
+@pytest.mark.parametrize("mapping, message", [
+    (Mapping((3, 5, 4)), "mapping covers 3 wires, circuit has 4"),
+    (Mapping((3, 5, 4, 16, 17)), "mapping covers 5 wires, circuit has 4"),
+    (Mapping((3, 5, 4, 100000)), "mapped qubit 100000 not in heavy_hex_6x3"),
+    (Mapping((0, 1, 2, 200)), "mapped qubit 200 not in heavy_hex_6x3"),
+])
+def test_bad_mappings_raise_what_route_raises(mapping, message):
+    c = synth("and", 4)
+    native = canonicalize(rewrite_to_basis(c))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        route(native, TORINO, mapping)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cost_pipeline(c, TORINO, mapping)
+
+
+def _pairwise_merge(gates):
+    """The merge rule with Angle sums, one pair at a time, and no unit arithmetic."""
+    out, pending = [], {}
+    for g in gates:
+        if g.kind is GateKind.RZ:
+            q = g.qubits[0]
+            prior = pending.get(q)
+            pending[q] = g if prior is None else rz(prior.angle + g.angle, q)
+        elif g.kind is not GateKind.I:
+            for q in sorted(g.qubits):
+                prior = pending.pop(q, None)
+                if prior is not None and not prior.angle.is_zero():
+                    out.append(prior)
+            out.append(g)
+    out += [p for _, p in sorted(pending.items()) if not p.angle.is_zero()]
+    return out
+
+
+_DYADIC = st.builds(Angle, st.integers(-200, 200), st.sampled_from((1, 2, 4, 8, 16, 32, 64)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_canonicalize_sums_rz_runs_like_pairwise_angle_sums(data):
+    n = data.draw(st.integers(1, 4))
+    gates = []
+    for _ in range(data.draw(st.integers(0, 30))):
+        choice = data.draw(st.integers(0, 5))
+        q = data.draw(st.integers(0, n - 1))
+        if choice <= 2:
+            # Runs: often several RZs in a row on one wire, some summing to 0.
+            for _ in range(data.draw(st.integers(1, 4))):
+                gates.append(rz(data.draw(_DYADIC), q))
+        elif choice == 3:
+            gates.append(Gate(data.draw(st.sampled_from((GateKind.I, GateKind.SX, GateKind.H))),
+                              (q,)))
+        elif n >= 2:
+            other = data.draw(st.integers(0, n - 1).filter(lambda w: w != q))
+            gates.append(cz(q, other))
+    c = Circuit(n, tuple(gates))
+    got, want = canonicalize(c).gates, _pairwise_merge(c.gates)
+    assert list(got) == want
+    # A lone RZ comes out as the very gate that went in; a merged run is new.
+    ids = {id(g) for g in c.gates}
+    assert [id(g) in ids for g in got] == [id(g) in ids for g in want]

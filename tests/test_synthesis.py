@@ -14,7 +14,8 @@ from blochsynth.simulator import (boolean_action, equiv_up_to_relative_phase,
 from blochsynth.synthesis import (Ax2, BooleanSpec, OPERATOR_RANGES,
                                   MILLER_PERMUTATION,
                                   ThetaAssignment,
-                                  UnsatisfiableError, _walsh, fredkin_permutation,
+                                  UnsatisfiableError, _ax2, _design, _walsh,
+                                  fredkin_permutation,
                                   miller_permutation, narrow_gate_set,
                                   solve_phase_system, solve_thetas, synth,
                                   synth_detailed, synth_table,
@@ -545,3 +546,51 @@ def test_walsh_maps_a_basis_vector_to_its_character_row():
             basis[x] = 1
             assert _walsh(basis) == [-1 if bin(x & k).count("1") % 2 else 1
                                      for k in range(size)]
+
+
+def _two_call_design(n, targets):
+    """The design rule as two solver calls: narrowed, then widen=True on UnsatisfiableError."""
+    template = make_template(n)
+    try:
+        thetas, ax2_phase = solve_phase_system(template, targets)
+    except UnsatisfiableError:
+        thetas, ax2_phase = solve_phase_system(template, targets, widen=True)
+    return ThetaAssignment(thetas, _ax2(ax2_phase, targets)), \
+        instantiate(template, thetas, ax2_phase)
+
+
+def _table_targets(n, code):
+    return tuple(PI if code >> x & 1 else ZERO for x in range(2 ** (n - 1)))
+
+
+def _design_cases():
+    rng = random.Random(2000)
+    small = [(n, code) for n in (2, 3, 4) for code in range(2 ** 2 ** (n - 1))]
+    return small + [(5, rng.getrandbits(16)) for _ in range(2000)]
+
+
+def test_one_pass_design_equals_the_two_call_rule():
+    cases = _design_cases()
+    assert len(cases) == 276 + 2000
+    for n, code in cases:
+        targets = _table_targets(n, code)
+        result = _design("table", n, targets)
+        assignment, circuit = _two_call_design(n, targets)
+        assert result.assignment == assignment, (n, code)
+        assert result.circuit == circuit, (n, code)
+
+
+def test_widen_alone_is_not_the_design_rule():
+    # Only the constant-1 tables tell the two apart (all 276 at n <= 4): no
+    # narrowed solution, and the AX2 = 0 branch holds thetas outside the
+    # candidates, while the AX2 = pi branch is all zero.  widen=True takes the
+    # first branch; the design takes the candidates-or-zero one.
+    differ = []
+    for n, code in _design_cases()[:276] + [(5, 0xFFFF)]:
+        targets = _table_targets(n, code)
+        thetas, ax2_phase = solve_phase_system(make_template(n), targets, widen=True)
+        if _design("table", n, targets).assignment != ThetaAssignment(
+                thetas, _ax2(ax2_phase, targets)):
+            differ.append((n, code))
+    assert differ == [(3, 0xF), (4, 0xFF), (5, 0xFFFF)]
+    assert synth_table((True,) * 8).assignment == ThetaAssignment((ZERO,) * 8, Ax2.MINUS_Z)
