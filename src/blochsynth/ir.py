@@ -72,6 +72,9 @@ DIAGONAL_PHASES = {
     GateKind.TDG: Angle(-1, 4),
 }
 
+# The kind of each of those phases, for diagonal_gate.
+_DIAGONAL_KINDS = {phase: kind for kind, phase in DIAGONAL_PHASES.items()}
+
 # Their names in trace-table headers.
 DIAGONAL_NAMES = {GateKind.Z: "Z", GateKind.S: "S", GateKind.SDG: "S†",
                   GateKind.T: "T", GateKind.TDG: "T†"}
@@ -165,7 +168,5 @@ def swap(a: int, b: int) -> Gate: return Gate(GateKind.SWAP, (a, b))
 
 def diagonal_gate(angle: Angle, q: int) -> Gate:
     """The named diag(1, e^{i angle}) gate when one exists (Z/S/S†/T/T†), else RZ."""
-    for kind, phase in DIAGONAL_PHASES.items():
-        if phase == angle:
-            return Gate(kind, (q,))
-    return rz(angle, q)
+    kind = _DIAGONAL_KINDS.get(angle)
+    return rz(angle, q) if kind is None else Gate(kind, (q,))

@@ -5,7 +5,8 @@ A Layout is an undirected graph over physical qubit ids (file-loadable, or
 generated as a heavy-hex lattice).  find_placement puts the circuit's
 interaction pairs onto adjacent ids by one search (a forest on at most five
 wires), else the chain 0-1-...-(n-1), else any n connected qubits, and lets
-routing pay the SWAP cost honestly; find_chain is the chain case alone.
+routing pay the SWAP cost honestly; each layout remembers the mappings it
+gave, keyed by wire count and pair set; find_chain is the chain case alone.
 route inserts SWAPs greedily along shortest paths, moving the first endpoint
 toward the second, and reports the inserted count as XC;
 routes_without_swaps tells, without routing, whether that count is zero.
@@ -49,6 +50,11 @@ class Layout(Record):
             nbrs[a].append(b)
             nbrs[b].append(a)
         return {q: tuple(sorted(v)) for q, v in nbrs.items()}
+
+    @cached_property
+    def _placements(self) -> dict[tuple[int, frozenset], Mapping]:
+        """find_placement's memo: (n, interaction pairs) -> mapping, oldest first."""
+        return {}
 
     @cached_property
     def max_degree(self) -> int:
@@ -104,6 +110,8 @@ def make_layout(name: str, edges, qubits=()) -> Layout:
     ids = frozenset(qubits) | frozenset(q for e in norm for q in e)
     return Layout(name, ids, norm)
 
+
+MAX_PLACEMENTS = 256   # find_placement keys remembered per layout
 
 MAX_HEAVY_HEX_SIDE = 64   # largest rows or cols: 64x64 has 20,995 qubits; ibm_torino is 6x3
 
@@ -193,12 +201,26 @@ def find_placement(layout: Layout, c: Circuit) -> Mapping:
     Embeds the circuit's interaction pairs, else the chain 0-1-...-(n-1)
     (routing then reports a nonzero XC), else the first n qubits of a
     breadth-first walk from the lowest id whose component is big enough.
+    The mapping depends only on n and the set of pairs, so each layout
+    remembers it for the last MAX_PLACEMENTS such keys it placed.
     """
     n = c.n_qubits
     if n > len(layout.qubits):  # before any per-wire work: n comes from the circuit file
         raise ValueError(f"no connected set of {n} qubits in {layout.name}")
-    if mapping := (_embed(layout, n, {g.qubits for g in c.gates if len(g.qubits) == 2})
-                   or _embed(layout, n, zip(range(n), range(1, n)))):
+    key = (n, frozenset(g.qubits for g in c.gates if len(g.qubits) == 2))
+    placements = layout._placements
+    mapping = placements.get(key)
+    if mapping is None:
+        mapping = _place(layout, n, key[1])
+        if len(placements) >= MAX_PLACEMENTS:
+            del placements[next(iter(placements))]   # the oldest key goes first
+        placements[key] = mapping
+    return mapping
+
+
+def _place(layout: Layout, n: int, pairs: frozenset[tuple[int, int]]) -> Mapping:
+    """find_placement's search, for n wires with interaction pairs `pairs`."""
+    if mapping := (_embed(layout, n, pairs) or _embed(layout, n, zip(range(n), range(1, n)))):
         return mapping
     seen: set[int] = set()
     for walk in ([q] for q in layout._adjacency if q not in seen):

@@ -245,9 +245,16 @@ def synth_detailed(kind: str, n: int) -> SynthResult:
 
 
 def synth_table(outputs: tuple[bool, ...]) -> SynthResult:
-    """Synthesize an explicit truth table (widening the angle set if needed)."""
+    """Synthesize an explicit truth table (widening the angle set if needed).
+
+    Each entry must be a bool or the int 0 or 1; anything else (a character
+    of a string, 2, 0.5, None) raises ValueError naming the first one.
+    """
     if len(outputs) not in _TABLE_LENGTHS:
         raise ValueError(f"truth table needs 2, 4, 8 or 16 entries, got {len(outputs)}")
+    for x, o in enumerate(outputs):
+        if not (isinstance(o, int) and o in (0, 1)):
+            raise ValueError(f"truth table entry {x} is {o!r}, not a bool or 0/1")
     n_controls = len(outputs).bit_length() - 1
     outputs = tuple(bool(o) for o in outputs)
     result = _design("table", n_controls + 1, _boolean_targets(outputs))

@@ -13,10 +13,16 @@ where shift renames c_i -> c_(i+1).  So n=3 runs (c2, c1, c2) and n=4 runs
 (c3, c2, c3, c1, c3, c2, c3); the schedule is its own reverse.  Theta slot j
 precedes CNOT j, one more follows the last, and for n >= 3 the AX2 slot (the
 solver's 0-or-pi correction) ends the run, all between two H on the target.
+
+Instances share their gates: a template's H, Z and CX gates, and its
+diagonal gate for each theta, are built the first time an instance needs
+them and reused by every later instance in the process.
 """
 from __future__ import annotations
 
-from .angles import Angle, Record
+from functools import lru_cache
+
+from .angles import TURN, Angle, Record, to_units
 from .ir import Circuit, Gate, diagonal_gate, cx, h, z
 from .simulator import template_wires
 
@@ -73,23 +79,41 @@ def slot_masks(template: Template) -> tuple[int, ...]:
     return tuple(reversed(masks))
 
 
+@lru_cache(maxsize=64)   # make_template has four values; the rest is headroom
+def _gates_of(template: Template) -> tuple[Gate, Gate, tuple[Gate | None, ...], list]:
+    """(H, Z, each slot's CX then None, the diagonal gate per pi/64 unit count).
+
+    Keyed by the template's value.  The CX gates are built with the table,
+    one per control, so that the slots of one control share a gate; the
+    diagonal gate of a unit count when an instance first needs it.
+    """
+    tgt = template.target_wire
+    cx_of = {c: cx(template.wire_of_control(c), tgt) for c in set(template.schedule)}
+    return h(tgt), z(tgt), tuple(cx_of[c] for c in template.schedule) + (None,), [None] * TURN
+
+
 def instantiate(template: Template, thetas: tuple[Angle, ...],
                 ax2_phase: Angle | None = None) -> Circuit:
     """Fill the skeleton's slots between two H on the target; return the circuit.
 
     Thetas land as named gates (T, T†, S, S†, Z) when the angle matches one,
-    RZ otherwise; zero thetas and an identity AX2 emit nothing.
+    RZ otherwise; zero thetas and an identity AX2 emit nothing.  The gates
+    come from the template's table, so equal instances share gate objects.
     """
     if len(thetas) != template.n_thetas:
         raise ValueError(f"need {template.n_thetas} thetas, got {len(thetas)}")
-    tgt = template.target_wire
-    gates: list[Gate] = [h(tgt)]
-    for angle, control in zip(thetas, template.schedule + (None,)):
-        if not angle.is_zero():
-            gates.append(diagonal_gate(angle, tgt))
-        if control is not None:
-            gates.append(cx(template.wire_of_control(control), tgt))
+    h_gate, z_gate, cxs, diagonals = _gates_of(template)
+    gates: list[Gate] = [h_gate]
+    for angle, cx_gate in zip(thetas, cxs):
+        units = to_units(angle) % TURN
+        if units:
+            gate = diagonals[units]
+            if gate is None:
+                gate = diagonals[units] = diagonal_gate(angle, template.target_wire)
+            gates.append(gate)
+        if cx_gate is not None:
+            gates.append(cx_gate)
     if template.n_qubits >= 3 and ax2_phase is not None and not ax2_phase.is_zero():
-        gates.append(z(tgt))
-    gates.append(h(tgt))
+        gates.append(z_gate)
+    gates.append(h_gate)
     return Circuit(template.n_qubits, tuple(gates))

@@ -12,12 +12,16 @@ target event acts on the single phase of (|0> + e^{i phase}|1>)/sqrt(2):
 
 The phase is carried as an integer count of pi/64 units mod 2pi, and each
 point and the final phase are read from 128-entry tables, so a trace builds
-no Angle.  The tracker walks a concrete circuit (not a template) and calls
-no solver and no simulator, so it doubles as an independent check that
+no Angle.  Events are immutable too: each (label, phase, applied) event is
+built once per process, from a bounded table, and shared by every trace.
+The tracker walks a concrete circuit (not a template) and calls no solver
+and no simulator, so it doubles as an independent check that
 instantiation preserved the design: its Boolean verdict must match full
 statevector simulation on every control input.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .angles import HALF_TURN, TURN, UNIT_ANGLES, Angle, Record, _store, to_units
 from .ir import Circuit, GateKind, DIAGONAL_NAMES, DIAGONAL_PHASES
@@ -90,13 +94,25 @@ _DIAGONAL_UNITS = {kind: to_units(a) for kind, a in DIAGONAL_PHASES.items()}
 _DIAGONAL_LABELS = {kind: f"θ({kind.value})" for kind in DIAGONAL_PHASES}
 
 
+@lru_cache(maxsize=4096)   # n <= 5: 14 labels x 128 phases, 8 of them also idle
+def _event(label: str, units: int, applied: bool) -> TraceEvent:
+    return TraceEvent(label, _POINTS[units], applied)
+
+
+@lru_cache(maxsize=64)
+def _controls(n_qubits: int, target: int) -> dict[int, tuple[int, str, str]]:
+    """wire -> (control id, CNOT label, CZ label): controls number the other wires from 1."""
+    wires = (w for w in range(n_qubits) if w != target)
+    return {w: (cid, f"CNOT(c{cid})", f"CZ(c{cid})") for cid, w in enumerate(wires, start=1)}
+
+
 def trace(c: Circuit, controls: int | str, target: int | None = None) -> Trace:
     """Track the target's equator phase through the circuit for one control input."""
     if target is None:
         target = next((g.qubits[0] for g in c.gates if g.kind == GateKind.H), None)
         if target is None:
             raise TrackError("no H gate found; cannot locate the target wire")
-    control_of = {w: i + 1 for i, w in enumerate(w for w in range(c.n_qubits) if w != target)}
+    controls_of = _controls(c.n_qubits, target)
     mask = _control_mask(controls, c.n_qubits - 1)
 
     h_kind, i_kind, rz_kind = GateKind.H, GateKind.I, GateKind.RZ
@@ -124,21 +140,20 @@ def trace(c: Circuit, controls: int | str, target: int | None = None) -> Trace:
             raise TrackError(f"target gate {kind.value} before the opening H")
         if kind in _DIAGONAL_UNITS:
             phase = (phase + _DIAGONAL_UNITS[kind]) % TURN
-            events.append(TraceEvent(_DIAGONAL_LABELS[kind], _POINTS[phase], True))
+            events.append(_event(_DIAGONAL_LABELS[kind], phase, True))
         elif kind is rz_kind:
             angle = g.angle
             phase = (phase + angle.num * (HALF_TURN // angle.den)) % TURN
-            events.append(TraceEvent("θ(rz)", _POINTS[phase], True))
+            events.append(_event("θ(rz)", phase, True))
         elif kind is cx_kind or kind is cz_kind:
             other = qubits[0] if qubits[1] == target else qubits[1]
             if kind is cx_kind and qubits[1] != target:
                 raise TrackError("CNOT controlled by the target is not trackable")
-            cid = control_of[other]
+            cid, cnot_label, cz_label = controls_of[other]
             active = bool(mask >> (cid - 1) & 1)
             if active:
                 phase = -phase % TURN if kind is cx_kind else (phase + HALF_TURN) % TURN
-            name = "CNOT" if kind is cx_kind else "CZ"
-            events.append(TraceEvent(f"{name}(c{cid})", _POINTS[phase], active))
+            events.append(_event(cnot_label if kind is cx_kind else cz_label, phase, active))
         else:
             raise TrackError(f"target gate {kind.value} is not equator-trackable")
     output = None

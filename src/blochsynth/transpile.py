@@ -11,10 +11,15 @@ both at once and is the only place the merge rule lives: the cost pipeline
 lowers with it, and canonicalize is the walk under a basis that holds every
 kind.  Lowering is exact up to global phase only (S -> RZ(pi/2) already
 costs a phase).
+
+Gates are immutable, so each distinct gate is expanded once per process per
+basis, and a merged RZ run's gate is built once per (wire, units); both
+tables are bounded and filled on first use.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 from pathlib import Path
 
 from .angles import HALF_TURN, PI_2, TURN, UNIT_ANGLES, Record
@@ -91,23 +96,24 @@ _RULES = {
 }
 
 
+@lru_cache(maxsize=8)   # bases in use at once: DEFAULT_BASIS and a user's few
 def _expander(basis: NativeBasis):
-    """g -> its expansion into `basis`; each distinct gate is expanded once."""
-    expansions: dict[Gate, tuple[Gate, ...]] = {}
-
+    """g -> its expansion into `basis`, kept across calls in a bounded table."""
+    @lru_cache(maxsize=4096)   # costing every registered row on ibm_torino fills ~60
     def expand(g: Gate) -> tuple[Gate, ...]:
-        found = expansions.get(g)
-        if found is None:   # an expansion may be () (I), never None
-            if basis.contains(g):
-                found = (g,)
-            else:
-                rule = _RULES.get(g.kind)
-                if rule is None:
-                    raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
-                found = tuple(native for sub in rule(g) for native in expand(sub))
-            expansions[g] = found
-        return found
+        if basis.contains(g):
+            return (g,)
+        rule = _RULES.get(g.kind)
+        if rule is None:
+            raise ValueError(f"no rewrite rule takes {g.kind.value} into basis {basis.name}")
+        return tuple(native for sub in rule(g) for native in expand(sub))
     return expand
+
+
+@lru_cache(maxsize=4096)
+def _merged_rz(q: int, units: int) -> Gate:
+    """The RZ that a merged run of `units` pi/64 units on wire q flushes to."""
+    return rz(UNIT_ANGLES[units], q)
 
 
 def _lower(gates: Iterable[Gate], basis: NativeBasis) -> list[Gate]:
@@ -117,8 +123,8 @@ def _lower(gates: Iterable[Gate], basis: NativeBasis) -> list[Gate]:
     come: an RZ pends on its wire, its angle summed exactly as an integer
     count of pi/64 units; any other gate first flushes its wires' pending
     runs, lowest wire first, dropping a run that sums to 0 mod 2pi; I is
-    dropped.  A lone RZ is kept as the same gate; a run of several builds
-    one new gate when it is flushed.  Nothing is reordered across a gate.
+    dropped.  A lone RZ is kept as the same gate; a run of several flushes
+    to the (wire, units) table's gate.  Nothing is reordered across a gate.
     """
     rz_kind, i_kind = GateKind.RZ, GateKind.I
     native = basis.single_qubit | basis.two_qubit
@@ -129,8 +135,9 @@ def _lower(gates: Iterable[Gate], basis: NativeBasis) -> list[Gate]:
     pending: dict[int, list] = {}
 
     def flush(q: int, run: list) -> None:
-        if run[1] % TURN:
-            emit(run[0] or rz(UNIT_ANGLES[run[1] % TURN], q))
+        units = run[1] % TURN
+        if units:
+            emit(run[0] or _merged_rz(q, units))
 
     for g in gates:
         for s in ((g,) if g.kind in native else expand(g)):
@@ -168,7 +175,8 @@ _EVERY_KIND = NativeBasis(
 def rewrite_to_basis(c: Circuit, basis: NativeBasis = DEFAULT_BASIS) -> Circuit:
     """Expand gates through the rule table until only basis members remain.
 
-    Each distinct gate is expanded once per call; repeats reuse its expansion.
+    Each distinct gate is expanded once per process per basis; repeats, in
+    this call or a later one, reuse its expansion.
     """
     expand = _expander(basis)
     return Circuit(c.n_qubits, tuple(s for g in c.gates for s in expand(g)))

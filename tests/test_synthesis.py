@@ -190,6 +190,22 @@ def test_synth_table_matches_named_synthesis():
         synth_table((True, False, True))
 
 
+@pytest.mark.parametrize("outputs, message", [
+    ("0001", "entry 0 is '0'"),          # each character would read as True
+    ((0, 0, 0, 2), "entry 3 is 2"),
+    ((0, 0.5, 1, 1), "entry 1 is 0.5"),
+    ((1, 0, None, 0), "entry 2 is None"),
+])
+def test_synth_table_names_the_first_entry_that_is_not_a_bit(outputs, message):
+    with pytest.raises(ValueError, match=f"^truth table {message}, not a bool or 0/1$"):
+        synth_table(outputs)
+
+
+def test_synth_table_takes_the_ints_0_and_1_as_bools():
+    assert synth_table((0, 1, 1, 0)) == synth_table((False, True, True, False))
+    assert synth_table([1, True, 0, False]).circuit == synth_table((1, 1, 0, 0)).circuit
+
+
 def test_trace_labels_golden():
     assert synth_detailed("toffoli", 3).trace_labels() == (
         "θ1(T†)", "CNOT(c2)", "θ2(T)", "CNOT(c1)", "θ3(T†)", "CNOT(c2)", "θ4(T)")
